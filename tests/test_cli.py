@@ -1,6 +1,7 @@
 import json
 import math
 
+import mpmath
 import pytest
 
 from fraczeta.cli import main
@@ -150,6 +151,22 @@ def test_zeta_convergence_failure_exit3(capsys):
          "--tol", "1e-15", "--max-terms", "30"]
     )
     assert code == 3
+    assert "ConvergenceError" in capsys.readouterr().err
+
+
+def test_zeta_at_documented_ordinate_limit_matches_mpmath(tmp_path):
+    code, out = run_to_file(
+        tmp_path, "z.csv", ["zeta", "--mode", "zeta", "--theta", "400"]
+    )
+    assert code == 0
+    _, _, rows = parse_csv(out)
+    value = complex(float(rows[0][3]), float(rows[0][4]))
+    assert abs(value - complex(mpmath.zeta(mpmath.mpc(0.5, 400)))) < 1e-8
+
+
+def test_zeta_past_documented_ordinate_limit_exit3(capsys):
+    # the accelerated sum's degree cap (400 terms) runs out near t = 410
+    assert main(["zeta", "--mode", "zeta", "--theta", "420"]) == 3
     assert "ConvergenceError" in capsys.readouterr().err
 
 

@@ -3,6 +3,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from fraczeta.errors import ConfigError, DomainError
 from fraczeta.fracdiff import (
@@ -23,6 +26,32 @@ def binomial_weight_oracle(alpha: float, k: int) -> float:
         return 1.0
     binom = math.gamma(alpha + 1) / (math.gamma(k + 1) * math.gamma(alpha - k + 1))
     return (-1) ** k * binom
+
+
+def _march_reference(params: ColeColeParams, drive: SampledSignal) -> SampledSignal:
+    """The implicit Grunwald-Letnikov step marched one sample at a time.
+
+        U_n = (z0 I_n - c sum_{k=1..n} w_k U_{n-k}) / (1 + c)
+
+    Full memory, one dot product over the whole history per step:
+    quadratic cost, and the oracle for the O(N log N) solve.
+    """
+    n = len(drive.values)
+    if n > MAX_SOLVER_SAMPLES:
+        raise ConfigError(f"drive length {n} exceeds {MAX_SOLVER_SAMPLES} samples")
+    alpha = 1.0 / params.d
+    h = drive.h
+    c = (params.vc * h) ** (-alpha)
+    w = gl_weights(alpha, n) if n > 1 else np.ones(1)
+    wrev = w[::-1].copy()  # wrev[i] = w[n-1-i], contiguous for the dot below
+    i_t = drive.values
+    u = np.empty(n)
+    denom = 1.0 + c
+    for m in range(n):
+        # memory term sum_{k=1..m} w_k U_{m-k} = dot(w[m..1], U[0..m-1])
+        mem = np.dot(wrev[n - 1 - m : n - 1], u[:m]) if m else 0.0
+        u[m] = (params.z0 * i_t[m] - c * mem) / denom
+    return SampledSignal(h=h, values=u)
 
 
 # -------------------------------- weights -----------------------------------
@@ -108,6 +137,17 @@ def test_linearity_to_machine_precision():
     assert np.max(np.abs(combo.values - recombined)) < 1e-12 * scale
 
 
+@pytest.mark.parametrize("n", [2, 3, 17, 640, 2000])
+def test_differintegral_matches_direct_convolution(n):
+    rng = np.random.default_rng(n)
+    h = 10.0 ** rng.uniform(-3, 0)
+    for alpha in (0.05, 0.5, 1.0, float(rng.uniform(0.01, 1.0))):
+        f = rng.standard_normal(n) * 10.0 ** rng.uniform(-3, 3)
+        g = gl_differintegral(SampledSignal(h=h, values=f), alpha).values
+        direct = np.convolve(f, gl_weights(alpha, n))[:n] * h ** (-alpha)
+        assert np.max(np.abs(g - direct)) <= 1e-12 * np.max(np.abs(g))
+
+
 def test_semigroup_composition():
     h = 1e-3
     t = h * np.arange(2001)  # covers [0, 2]
@@ -131,6 +171,48 @@ def test_sampled_signal_validation():
 
 
 # ------------------------------ relaxation -----------------------------------
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    d=st.floats(1.0, 5.0),
+    vc=st.floats(1e-2, 1e2),
+    z0=st.floats(1e-3, 1e3),
+    h=st.floats(1e-4, 1e-1),
+    values=hnp.arrays(
+        float,
+        st.integers(1, 4096),
+        elements=st.floats(-1e6, 1e6, allow_nan=False, allow_infinity=False),
+    ),
+)
+def test_solve_matches_marching_oracle(d, vc, z0, h, values):
+    params = ColeColeParams(z0=z0, vc=vc, d=d)
+    drive = SampledSignal(h=h, values=values)
+    u = solve_relaxation(params, drive).values
+    ref = _march_reference(params, drive).values
+    assert len(u) == len(ref)
+    assert np.max(np.abs(u - ref)) <= 1e-12 * max(1.0, np.max(np.abs(ref)))
+
+
+# c = 1 (vc = h = 1); d = 1: U_n = (1 + U_{n-1}) / 2; d = 2: w = 1, -1/2, -1/8
+@pytest.mark.parametrize(
+    "d,expected", [(1.0, [0.5, 0.75, 0.875]), (2.0, [0.5, 0.625, 0.6875])]
+)
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_solve_first_samples_by_hand(d, expected, n):
+    params = ColeColeParams(z0=1.0, vc=1.0, d=d)
+    drive = SampledSignal(h=1.0, values=np.ones(n))
+    u = solve_relaxation(params, drive).values
+    assert np.max(np.abs(u - expected[:n])) < 1e-15
+    assert np.max(np.abs(u - _march_reference(params, drive).values)) < 1e-15
+
+
+def test_long_step_solve_matches_marching_oracle():
+    params = ColeColeParams(z0=1.0, vc=1.0, d=1.7)
+    drive = SampledSignal(h=1e-3, values=np.ones(30_000))
+    u = solve_relaxation(params, drive).values
+    ref = _march_reference(params, drive).values
+    assert np.max(np.abs(u - ref)) <= 1e-12
 
 
 def test_step_response_d1_matches_exponential():
@@ -188,6 +270,22 @@ def test_order_one_convergence_at_d1():
 
 
 # --------------------------- frequency response ------------------------------
+
+
+@pytest.mark.parametrize("d", [1.0, 2.0, 3.5])
+def test_frequency_response_matches_scheme_symbol(d):
+    # The scheme's exact steady-state gain z0 / (1 + c (1 - e^{-ivh})^alpha)
+    # leaves only the transient in the fit; Z(v) also holds the O(h)
+    # discretisation error, which at h = 1e-2 is the larger of the two.
+    h = 1e-2
+    params = ColeColeParams(z0=1.5, vc=1.0, d=d)
+    alpha = 1.0 / d
+    c = (params.vc * h) ** (-alpha)
+    for v in (1.0, 2.0, 5.0):
+        resp = frequency_response_empirical(params, v, cycles=12, h=h)
+        symbol = params.z0 / (1.0 + c * (1.0 - cmath.exp(-1j * v * h)) ** alpha)
+        assert abs(resp - symbol) < 1e-4
+        assert abs(resp - symbol) < abs(resp - evaluate(params, v))
 
 
 def test_frequency_response_classic_rc_point():
