@@ -2,14 +2,18 @@
 
 Three primitives back everything else in the package:
 
-* ``cpow_principal`` - complex powers on the principal branch, the single
-  place where fractional exponents like (iv/vc)^(1/d), n^(-s) or
-  p^(2i*theta) are evaluated;
+* ``cpow_principal`` - complex powers on the principal branch for scalar
+  fractional exponents like (iv/vc)^(1/d) or p^(2i*theta); powers of
+  positive index arrays such as n^(-s) are exp(-s log n) in numpy;
 * ``log_gamma`` - the continuous (principal-branch) log-gamma function,
   needed by the critical-line rotation in :mod:`fraczeta.zeta`;
 * ``sum_alternating`` - accelerated summation of alternating series via
   the Cohen/Rodriguez Villegas/Zagier Chebyshev scheme, with a plain
-  partial-sum mode kept alongside as a verification oracle.
+  partial-sum mode kept alongside as a verification oracle.  The series
+  term is array-valued: it receives a float array of indices n and
+  returns the terms there (or a scalar that broadcasts), each index is
+  evaluated once per sum, and every pass is one dot product with cached
+  read-only weights.
 
 All functions are pure and operate on immutable values, so they are safe
 to call concurrently.
@@ -18,13 +22,18 @@ to call concurrently.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, Union
 
+import numpy as np
+
 from .errors import ConfigError, ConvergenceError, DomainError, PoleError
 
 Complexish = Union[complex, float, int]
+# A term of an alternating series, evaluated at a float array of indices.
+TermFn = Callable[[np.ndarray], Union[np.ndarray, Complexish]]
 
 LN_PI = math.log(math.pi)
 LN_2 = math.log(2.0)
@@ -130,52 +139,74 @@ def log_gamma(z: Complexish) -> complex:
 _ACCEL_DEGREE_CAP = 400
 
 
-def _accel_pass(term: Callable[[int], Complexish], n: int) -> complex:
-    """One Chebyshev-weighted pass of degree n over term(1..n)."""
+@functools.lru_cache(maxsize=None)
+def _accel_weights(n: int) -> np.ndarray:
+    """Read-only Chebyshev weights c_1..c_n of degree n, divided by d_n.
+
+    One pass of degree n is ``dot(weights, term(1..n))``.  Dividing here
+    keeps the weights at most 1: the raw c_k reach 1e306 at the cap, and
+    their dot product with constant terms overflows.  Cached per degree;
+    the engine never asks for a degree above the cap, so the cache holds
+    at most one entry per degree up to it.
+    """
     d = (3.0 + 2.0 * math.sqrt(2.0)) ** n
     d = 0.5 * (d + 1.0 / d)
     b = -1.0
     c = -d
-    s = 0j
+    weights = np.empty(n)
     for k in range(n):
         c = b - c
-        s += c * complex(term(k + 1))
+        weights[k] = c
         b *= (k + n) * (k - n) / ((k + 0.5) * (k + 1.0))
-    return s / d
+    weights /= d
+    weights.flags.writeable = False
+    return weights
 
 
 def sum_alternating_info(
-    term: Callable[[int], Complexish], cfg: ToleranceConfig | None = None
+    term: TermFn, cfg: ToleranceConfig | None = None
 ) -> tuple[complex, int]:
     """Accelerated sum of Sum_{n>=1} (-1)^(n+1) term(n), plus terms used.
 
+    ``term`` receives a float array of indices n and returns the terms at
+    them, as an array of the same shape or a scalar that broadcasts.  It
+    is called with consecutive blocks of indices, each index once.
+
     Runs the acceleration at a growing degree until two consecutive
     passes agree within ``cfg.abs_tol`` (that difference is the internal
-    error estimate).  For convergent alternating series this is the true
-    sum; for Abel-summable boundary cases such as constant terms it
-    returns the Abel value.
+    error estimate).  Each pass is one dot product of the cached weights
+    with the terms evaluated so far.  For convergent alternating series
+    this is the true sum; for Abel-summable boundary cases such as
+    constant terms it returns the Abel value.
     """
     cfg = cfg or ToleranceConfig()
     cap = min(_ACCEL_DEGREE_CAP, cfg.max_terms)
     n = min(24, max(2, (2 * cfg.max_terms) // 3))
-    prev = _accel_pass(term, n)
+    terms = np.empty(0)
+    prev = None
     while True:
+        idx = np.arange(len(terms) + 1, n + 1, dtype=float)
+        terms = np.concatenate((terms, np.broadcast_to(term(idx), idx.shape)))
+        cur = complex(np.dot(_accel_weights(n), terms))
+        if prev is not None and abs(cur - prev) <= cfg.abs_tol:
+            return require_finite(cur), n
         n_next = min(max((3 * n) // 2, n + 8), cap)
         if n_next <= n:
             raise ConvergenceError(
                 f"alternating sum did not reach abs_tol={cfg.abs_tol:g} "
                 f"within {cap} terms"
             )
-        cur = _accel_pass(term, n_next)
-        if abs(cur - prev) <= cfg.abs_tol:
-            return require_finite(cur), n_next
         n, prev = n_next, cur
 
 
 def sum_alternating(
-    term: Callable[[int], Complexish], cfg: ToleranceConfig | None = None
+    term: TermFn, cfg: ToleranceConfig | None = None
 ) -> complex:
-    """Accelerated value of Sum_{n>=1} (-1)^(n+1) term(n)."""
+    """Accelerated value of Sum_{n>=1} (-1)^(n+1) term(n).
+
+    ``term`` maps a float array of indices n to the terms at them (an
+    array, or a scalar that broadcasts); see :func:`sum_alternating_info`.
+    """
     value, _ = sum_alternating_info(term, cfg)
     return value
 

@@ -140,12 +140,8 @@ def mobius(n: int) -> int:
 
 
 def _eta_term(s: complex):
-    def term(n: int) -> complex:
-        if n == 1:
-            return 1.0 + 0j
-        return cmath.exp(-s * math.log(n))
-
-    return term
+    """The eta series term n^(-s) on a float array of indices n."""
+    return lambda n: np.exp(-s * np.log(n))
 
 
 def eta_info(

@@ -3,10 +3,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from fraczeta.core import (
+    _ACCEL_DEGREE_CAP,
     ToleranceConfig,
+    _accel_weights,
     cpow_principal,
     log_gamma,
     sum_alternating,
@@ -14,6 +18,7 @@ from fraczeta.core import (
     sum_alternating_info,
 )
 from fraczeta.errors import ConfigError, ConvergenceError, DomainError, PoleError
+from fraczeta.zeta import _eta_term
 
 
 # ---------------------------- cpow_principal -------------------------------
@@ -183,3 +188,154 @@ def test_tolerance_config_validation():
         ToleranceConfig(max_terms=0)
     with pytest.raises(ConfigError):
         ToleranceConfig(max_terms=10**8 + 1)
+
+
+# ------------------- reference engine: the scalar Chebyshev loop --------------
+
+
+def _accel_pass_reference(term, n: int) -> complex:
+    """One Chebyshev-weighted pass of degree n over term(1..n)."""
+    d = (3.0 + 2.0 * math.sqrt(2.0)) ** n
+    d = 0.5 * (d + 1.0 / d)
+    b = -1.0
+    c = -d
+    s = 0j
+    for k in range(n):
+        c = b - c
+        s += c * complex(term(k + 1))
+        b *= (k + n) * (k - n) / ((k + 0.5) * (k + 1.0))
+    return s / d
+
+
+def _sum_alternating_reference(term, cfg=None) -> tuple[complex, int]:
+    """The scalar engine: the same degree schedule and stopping rule as
+    sum_alternating_info, with term(k) called per integer index and every
+    pass recomputed from scratch."""
+    cfg = cfg or ToleranceConfig()
+    cap = min(_ACCEL_DEGREE_CAP, cfg.max_terms)
+    n = min(24, max(2, (2 * cfg.max_terms) // 3))
+    prev = _accel_pass_reference(term, n)
+    while True:
+        n_next = min(max((3 * n) // 2, n + 8), cap)
+        if n_next <= n:
+            raise ConvergenceError(f"no convergence within {cap} terms")
+        cur = _accel_pass_reference(term, n_next)
+        if abs(cur - prev) <= cfg.abs_tol:
+            return cur, n_next
+        n, prev = n_next, cur
+
+
+def _scalar_eta_term(s: complex):
+    def term(n: int) -> complex:
+        if n == 1:
+            return 1.0 + 0j
+        return cmath.exp(-s * math.log(n))
+
+    return term
+
+
+def _assert_matches_reference(term, ref_term, cfg=None):
+    try:
+        ref_value, ref_used = _sum_alternating_reference(ref_term, cfg)
+    except ConvergenceError:
+        with pytest.raises(ConvergenceError):
+            sum_alternating_info(term, cfg)
+        return
+    value, used = sum_alternating_info(term, cfg)
+    assert used == ref_used
+    assert abs(value - ref_value) <= 1e-12 * max(1.0, abs(ref_value))
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    sigma=st.floats(0.1, 2.0),
+    t=st.floats(-405.0, 405.0),
+)
+def test_engine_matches_scalar_reference_on_eta_terms(sigma, t):
+    s = complex(sigma, t)
+    _assert_matches_reference(_eta_term(s), _scalar_eta_term(s))
+
+
+@pytest.mark.parametrize(
+    "term",
+    [lambda n: 1.0 / n, lambda n: 1.0 / n**2, lambda n: 1.0],
+    ids=["harmonic", "basel", "constant"],
+)
+@pytest.mark.parametrize(
+    "cfg",
+    [None, ToleranceConfig(abs_tol=1e-13), ToleranceConfig(max_terms=3)],
+    ids=["default", "tight", "three-terms"],
+)
+def test_engine_matches_scalar_reference_on_real_series(term, cfg):
+    _assert_matches_reference(term, term, cfg)
+
+
+@pytest.mark.parametrize(
+    "term",
+    [lambda n: 1.0 / n, _eta_term(0.5 + 300j), _eta_term(0.5 + 420j)],
+    ids=["harmonic", "eta-t300", "eta-past-cap"],
+)
+def test_term_gets_float_index_arrays_each_index_once(term):
+    blocks = []
+
+    def counted(n):
+        assert isinstance(n, np.ndarray) and n.dtype == np.float64 and n.ndim == 1
+        blocks.append(n.copy())
+        return term(n)
+
+    try:
+        _, used = sum_alternating_info(counted)
+    except ConvergenceError:
+        used = _ACCEL_DEGREE_CAP
+    seen = np.concatenate(blocks)
+    # every index 1..used exactly once, in order: no pass re-evaluates
+    assert np.array_equal(seen, np.arange(1, used + 1, dtype=float))
+
+
+def test_scalar_term_broadcasts_to_the_abel_value():
+    array_value, array_used = sum_alternating_info(lambda n: np.ones_like(n))
+    assert abs(array_value - 0.5) < 1e-12
+    for constant in (1.0, 1, 1.0 + 0j):
+        value, used = sum_alternating_info(lambda n: constant)
+        assert used == array_used
+        assert abs(value - array_value) <= 1e-14  # dot rounding, n * eps
+
+
+def test_accel_weights_are_cached_read_only_and_match_the_recurrence():
+    weights = _accel_weights(24)
+    assert weights.shape == (24,)
+    assert not weights.flags.writeable
+    with pytest.raises(ValueError):
+        weights[0] = 0.0
+    assert _accel_weights(24) is weights
+    # a pass is the dot product of the weights with the terms: unit
+    # vectors pick out each weight of the scalar recurrence
+    for k in (1, 2, 13, 24):
+        unit = _accel_pass_reference(lambda j: float(j == k), 24)
+        assert abs(weights[k - 1] - unit.real) <= 1e-15 * abs(unit)
+    # at the cap the raw weights reach 1e306; divided by d_n they stay small
+    assert np.all(np.abs(_accel_weights(_ACCEL_DEGREE_CAP)) <= 1.0)
+
+
+def test_accel_weights_cache_holds_one_entry_per_degree_used():
+    _accel_weights.cache_clear()
+    degrees = set()
+
+    def recording(term):
+        def wrapped(n):
+            degrees.add(int(n[-1]))
+            return term(n)
+
+        return wrapped
+
+    for max_terms in (2, 3, 7, 50, 399, 400, 401, 10**6):
+        cfg = ToleranceConfig(max_terms=max_terms)
+        for term in (lambda n: 1.0 / n, _eta_term(0.5 + 200j), _eta_term(0.5 + 420j)):
+            try:
+                sum_alternating_info(recording(term), cfg)
+            except ConvergenceError:
+                pass
+    size = _accel_weights.cache_info().currsize
+    assert size == len(degrees)
+    assert max(degrees) <= _ACCEL_DEGREE_CAP
+    assert size <= _ACCEL_DEGREE_CAP - 1  # degrees 2..cap

@@ -1,6 +1,7 @@
 import cmath
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -133,6 +134,28 @@ def test_eta_vanishes_at_first_zero():
     # dense-evaluation oracle: a genuine dip of the modulus sits nearby
     t_min = eta_modulus_minimum_oracle(14.134725, halfwidth=0.02)
     assert abs(eta(complex(0.5, t_min))) <= abs(eta(s))
+
+
+_ORACLE_GRID = np.linspace(0.0, 405.0, 40)
+
+
+def _close(value: complex, ref, tol: float = 1e-9) -> bool:
+    ref = complex(ref)
+    return abs(value - ref) <= tol * max(1.0, abs(ref))
+
+
+@pytest.mark.parametrize("t", _ORACLE_GRID)
+def test_eta_and_zeta_on_critical_line_against_mpmath(t):
+    s = complex(0.5, t)
+    assert _close(eta(s), mpmath.altzeta(mpmath.mpc(0.5, t)))
+    assert _close(zeta_from_eta(s), mpmath.zeta(mpmath.mpc(0.5, t)))
+
+
+@pytest.mark.parametrize("sigma", [0.3, 1.0, 2.0])
+def test_eta_and_zeta_on_real_axis_against_mpmath(sigma):
+    assert _close(eta(sigma), mpmath.altzeta(sigma))
+    if sigma != 1.0:  # zeta's pole; eta(1) = ln 2 is finite
+        assert _close(zeta_from_eta(sigma), mpmath.zeta(sigma))
 
 
 def test_eta_rejects_left_half_plane():
