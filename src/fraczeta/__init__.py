@@ -72,7 +72,6 @@ from .zeta import (
     euler_product,
     find_zeros,
     hardy_rotation,
-    mobius,
     mobius_inverse_zeta,
     s_point,
     zeta_direct,
@@ -119,7 +118,6 @@ __all__ = [
     "hyperbolic_distance",
     "log_gamma",
     "mandelbrot_gauge",
-    "mobius",
     "mobius_inverse_zeta",
     "phase_pinning",
     "s_point",

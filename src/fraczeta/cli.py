@@ -186,20 +186,10 @@ def cmd_zeros(args) -> int:
 
 def cmd_varpi(args) -> int:
     cfg = primes.VarpiConfig(prime_limit=args.primes, sign_convention=args.convention)
-    if args.t_from > args.t_to:
-        raise DomainError("require from <= to")
-    if not args.step > 0:
-        raise DomainError("step must be > 0")
     prime_set = primes.sieve(cfg.prime_limit)
-    count = int(math.floor((args.t_to - args.t_from) / args.step + 1e-9)) + 1
-    thetas = args.t_from + args.step * np.arange(count)
-    rows = []
-    mods = []
-    for theta in thetas:
-        value = primes.varpi(float(theta), prime_set, cfg)
-        mods.append(abs(value))
-        rows.append([float(theta), value.real, value.imag, abs(value)])
-    minima = primes.strict_local_minima(thetas, np.asarray(mods))
+    thetas, values, mods = primes.varpi_grid(args.t_from, args.t_to, args.step, prime_set, cfg)
+    rows = [[float(t), v.real, v.imag, float(m)] for t, v, m in zip(thetas, values, mods)]
+    minima = primes.strict_local_minima(thetas, mods)
     reference = [
         [sol.p, sol.k, sol.sign, sol.theta_prime]
         for p in (2, 3, 5, 7, 11, 13, 17, 19)

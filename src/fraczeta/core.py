@@ -60,6 +60,12 @@ def require_finite(z: complex) -> complex:
     return z
 
 
+def require_order(d: float) -> None:
+    """Reject an order parameter d below 1 (or NaN)."""
+    if not d >= 1:
+        raise DomainError("d must be ≥ 1")
+
+
 def cpow_principal(base: Complexish, exponent: Complexish) -> complex:
     """base**exponent with the principal log, argument in (-pi, pi].
 

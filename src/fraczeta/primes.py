@@ -12,18 +12,20 @@ whose modulus is scanned on a grid for local minima.  The truncated
 product is all that is computed here; nothing is claimed about its
 infinite-cutoff limit, and the scan's stability is measured, not assumed
 (rerunning with a doubled prime cutoff visibly moves the minima, see the
-test suite).
+test suite).  The products read a :class:`PrimeSet`'s cached arrays, never
+its tuple, and take p^(-s-) as the conjugate of p^(-s+): one complex exp
+per factor.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Literal
 
 import numpy as np
 
-from .core import cpow_principal
+from .core import cpow_principal, require_order
 from .errors import DomainError, LimitError
 
 SIEVE_LIMIT_CAP = 100_000_000
@@ -31,16 +33,32 @@ SIEVE_LIMIT_CAP = 100_000_000
 
 @dataclass(frozen=True)
 class PrimeSet:
-    """All primes up to ``limit``, ascending."""
+    """All primes up to ``limit``, ascending.
+
+    ``primes`` is the public tuple.  Construction validates it once,
+    vectorised, and caches it as the read-only int64 ``array`` and ln p
+    as the read-only ``log_primes`` that the products read.  Both are left
+    out of ``==``, ``hash`` and ``repr``; ``dataclasses.replace`` rebuilds
+    and re-validates them.
+    """
 
     limit: int
     primes: tuple[int, ...]
+    array: np.ndarray = field(init=False, repr=False, compare=False)
+    log_primes: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        if any(p > self.limit or p < 2 for p in self.primes):
+        array = np.array(self.primes, dtype=None if len(self.primes) else np.int64)
+        if array.dtype.kind not in "iu":
+            raise DomainError("primes must be integers")
+        array = array.astype(np.int64, copy=False)
+        if array.size and not 2 <= array.min() <= array.max() <= self.limit:
             raise DomainError("primes must lie in [2, limit]")
-        if any(b <= a for a, b in zip(self.primes, self.primes[1:])):
+        if not np.all(array[1:] > array[:-1]):
             raise DomainError("primes must be strictly ascending")
+        for name, value in (("array", array), ("log_primes", np.log(array.astype(float)))):
+            value.flags.writeable = False
+            object.__setattr__(self, name, value)
 
     def __len__(self) -> int:
         return len(self.primes)
@@ -86,27 +104,27 @@ class VarpiConfig:
 
 
 def sieve(limit: int) -> PrimeSet:
-    """Sieve of Eratosthenes up to ``limit`` inclusive (cap 1e8)."""
+    """Sieve of Eratosthenes over the odd numbers up to ``limit`` inclusive (cap 1e8)."""
     if limit < 1:
         raise DomainError("limit must be >= 1")
     if limit > SIEVE_LIMIT_CAP:
         raise LimitError(f"sieve limit {limit} exceeds {SIEVE_LIMIT_CAP}")
     if limit < 2:
         return PrimeSet(limit=limit, primes=())
-    mask = np.ones(limit + 1, dtype=bool)
-    mask[:2] = False
-    for p in range(2, math.isqrt(limit) + 1):
-        if mask[p]:
-            mask[p * p :: p] = False
-    return PrimeSet(limit=limit, primes=tuple(int(p) for p in np.nonzero(mask)[0]))
+    odd = np.ones((limit + 1) // 2, dtype=bool)  # odd[i]: is 2i + 1 prime
+    odd[0] = False
+    for i in range(1, (math.isqrt(limit) + 1) // 2):
+        if odd[i]:
+            p = 2 * i + 1
+            odd[p * p // 2 :: p] = False
+    return PrimeSet(limit=limit, primes=(2, *(2 * np.flatnonzero(odd) + 1).tolist()))
 
 
 def mandelbrot_gauge(p: float, vc: float, d: float) -> float:
     """Gauge value 1/delta = (vc/p)^(1/d); equals 1 at the trivial p = vc."""
     if not (p > 0 and vc > 0):
         raise DomainError("p and vc must be > 0")
-    if not d >= 1:
-        raise DomainError("d must be ≥ 1")
+    require_order(d)
     return (vc / p) ** (1.0 / d)
 
 
@@ -153,11 +171,8 @@ def solve_theta_prime(p: int, branches: int) -> list[ThetaPrimeSolution]:
 
 
 def _varpi_factors(theta_prime: float, primes: PrimeSet, cfg: VarpiConfig) -> np.ndarray:
-    log_p = np.log(np.asarray(primes.primes, dtype=float))
-    s_plus = complex(0.5, theta_prime)
-    s_minus = complex(0.5, -theta_prime)
-    a = np.exp(-s_plus * log_p)
-    b = np.exp(-s_minus * log_p)
+    a = np.exp(-complex(0.5, theta_prime) * primes.log_primes)
+    b = a.conj()
     if cfg.sign_convention == "as_printed":
         return 1.0 - a + b
     return 1.0 - a - b
@@ -199,6 +214,29 @@ def strict_local_minima(
     return out
 
 
+def varpi_grid(
+    theta_lo: float,
+    theta_hi: float,
+    step: float,
+    primes: PrimeSet,
+    cfg: VarpiConfig,
+) -> tuple[np.ndarray, list[complex], np.ndarray]:
+    """(thetas, varpi values, moduli) on the grid theta_lo + k*step <= theta_hi.
+
+    The grid is anchored at theta_lo; chunking the list of grid points
+    across workers cannot change it, so repeated scans are bitwise
+    reproducible.  theta_lo == theta_hi gives the single point theta_lo.
+    """
+    if not theta_lo <= theta_hi:
+        raise DomainError("theta_lo must be <= theta_hi")
+    if not step > 0:
+        raise DomainError("step must be > 0")
+    count = int(math.floor((theta_hi - theta_lo) / step + 1e-9)) + 1
+    thetas = theta_lo + step * np.arange(count)
+    values = [varpi(float(t), primes, cfg) for t in thetas]
+    return thetas, values, np.array([abs(v) for v in values])
+
+
 def varpi_scan(
     theta_lo: float,
     theta_hi: float,
@@ -206,18 +244,9 @@ def varpi_scan(
     primes: PrimeSet,
     cfg: VarpiConfig,
 ) -> list[tuple[float, float]]:
-    """Strict local minima of |varpi| on the grid theta_lo + k*step.
-
-    The grid is anchored at theta_lo; chunking the list of grid points
-    across workers cannot change it, so repeated scans are bitwise
-    reproducible.  Spans shorter than one step yield no interior points
-    and an empty list.
-    """
+    """Strict local minima of |varpi| on :func:`varpi_grid`'s grid; spans
+    shorter than one step have no interior points and yield an empty list."""
     if not theta_lo < theta_hi:
         raise DomainError("theta_lo must be < theta_hi")
-    if not step > 0:
-        raise DomainError("step must be > 0")
-    count = int(math.floor((theta_hi - theta_lo) / step + 1e-9)) + 1
-    thetas = theta_lo + step * np.arange(count)
-    mods = np.array([abs(varpi(t, primes, cfg)) for t in thetas])
+    thetas, _, mods = varpi_grid(theta_lo, theta_hi, step, primes, cfg)
     return strict_local_minima(thetas, mods)

@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .core import cpow_principal
+from .core import cpow_principal, require_order
 from .errors import DomainError
 
 
@@ -31,8 +31,7 @@ class ColeColeParams:
             raise DomainError("z0 must be > 0")
         if not self.vc > 0:
             raise DomainError("vc must be > 0")
-        if not self.d >= 1:
-            raise DomainError("d must be ≥ 1")
+        require_order(self.d)
 
 
 @dataclass(frozen=True)
@@ -90,8 +89,7 @@ def evaluate(params: ColeColeParams, v: float) -> complex:
 
 def phase_pinning(d: float) -> float:
     """Pinned phase angle (pi/2)(1 - 1/d), in radians."""
-    if not d >= 1:
-        raise DomainError("d must be ≥ 1")
+    require_order(d)
     return 0.5 * math.pi * (1.0 - 1.0 / d)
 
 
@@ -122,8 +120,7 @@ def hyperbolic_distance(v: float, vc: float, d: float) -> float:
         raise DomainError("v must be > 0")
     if not vc > 0:
         raise DomainError("vc must be > 0")
-    if not d >= 1:
-        raise DomainError("d must be ≥ 1")
+    require_order(d)
     return (v / vc) ** (1.0 / d)
 
 

@@ -117,28 +117,6 @@ class ZeroBracket:
             raise DomainError("residual too large for a refined zero")
 
 
-def mobius(n: int) -> int:
-    """Mobius mu(n) by trial factorisation: mu(1) = 1, (-1)^k for a
-    product of k distinct primes, 0 when a square divides n."""
-    if n < 1:
-        raise DomainError("n must be >= 1")
-    if n == 1:
-        return 1
-    remaining = n
-    factors = 0
-    p = 2
-    while p * p <= remaining:
-        if remaining % p == 0:
-            remaining //= p
-            if remaining % p == 0:
-                return 0
-            factors += 1
-        p += 1 if p == 2 else 2
-    if remaining > 1:
-        factors += 1
-    return -1 if factors % 2 else 1
-
-
 def _eta_term(s: complex):
     """The eta series term n^(-s) on a float array of indices n."""
     return lambda n: np.exp(-s * np.log(n))
@@ -212,11 +190,13 @@ def mobius_sieve(limit: int) -> np.ndarray:
         raise DomainError("limit must be >= 1")
     mu = np.ones(limit + 1, dtype=np.int8)
     mu[0] = 0
-    for p in sieve(limit).primes:
+    rem = np.arange(limit + 1)
+    for p in sieve(math.isqrt(limit)).primes:
         mu[p::p] *= -1
-        square = p * p
-        if square <= limit:
-            mu[square::square] = 0
+        mu[p * p :: p * p] = 0
+        rem[p::p] //= p
+    # what is left of a squarefree n is 1 or its one prime factor > sqrt(limit)
+    mu[rem > 1] *= -1
     return mu
 
 
@@ -243,8 +223,7 @@ def euler_product(s: complex, primes: PrimeSet) -> complex:
         raise DomainError("euler_product requires Re(s) > 1")
     if len(primes) == 0:
         raise DomainError("primes must be non-empty")
-    p = np.asarray(primes.primes, dtype=float)
-    factors = 1.0 / (1.0 - np.exp(-s * np.log(p)))
+    factors = 1.0 / (1.0 - np.exp(-s * primes.log_primes))
     return require_finite(complex(np.cumprod(factors)[-1]))
 
 

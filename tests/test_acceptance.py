@@ -17,10 +17,10 @@ import pytest
 import fraczeta as fz
 from fraczeta.core import cpow_principal
 from fraczeta.primes import VarpiConfig, varpi_scan
-from fraczeta.zeta import mobius, zeta_direct
+from fraczeta.zeta import zeta_direct
 
 from test_transfer import circumcircle
-from test_zeta import dirichlet_tail, eta_modulus_minimum_oracle
+from test_zeta import dirichlet_tail, eta_modulus_minimum_oracle, mobius
 
 ZERO_ORDINATES = (14.134725, 21.022040, 25.010858)
 

@@ -1,8 +1,11 @@
 import cmath
+import dataclasses
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fraczeta.errors import DomainError, LimitError
 from fraczeta.primes import (
@@ -10,12 +13,14 @@ from fraczeta.primes import (
     ThetaPrimeSolution,
     VarpiConfig,
     _guarded_product,
+    _varpi_factors,
     hausdorff_residual,
     mandelbrot_gauge,
     sieve,
     solve_theta_prime,
     strict_local_minima,
     varpi,
+    varpi_grid,
     varpi_scan,
 )
 
@@ -29,6 +34,32 @@ def is_prime_trial(n: int) -> bool:
             return False
         f += 1
     return True
+
+
+def _sieve_reference(limit: int) -> tuple[int, ...]:
+    """Primes up to limit >= 1: every p marks all its multiples, and the
+    tuple is built one numpy scalar at a time."""
+    mask = np.ones(limit + 1, dtype=bool)
+    mask[:2] = False
+    for p in range(2, math.isqrt(limit) + 1):
+        if mask[p]:
+            mask[p * p :: p] = False
+    return tuple(int(p) for p in np.nonzero(mask)[0])
+
+
+def _varpi_factors_reference(theta_prime, primes, cfg):
+    """The varpi factors with both p^(-s+) and p^(-s-) taken by exp."""
+    log_p = np.log(np.asarray(primes.primes, dtype=float))
+    a = np.exp(-complex(0.5, theta_prime) * log_p)
+    b = np.exp(-complex(0.5, -theta_prime) * log_p)
+    if cfg.sign_convention == "as_printed":
+        return 1.0 - a + b
+    return 1.0 - a - b
+
+
+def bits(values) -> bytes:
+    """The exact bytes of a complex or an array, signed zeros included."""
+    return np.asarray(values, dtype=complex).tobytes()
 
 
 # --------------------------------- sieve -------------------------------------
@@ -62,6 +93,75 @@ def test_prime_set_validation():
         PrimeSet(limit=10, primes=(3, 2))
     with pytest.raises(DomainError):
         PrimeSet(limit=10, primes=(2, 11))
+
+
+def test_prime_set_rejects_one_and_repeats():
+    with pytest.raises(DomainError):
+        PrimeSet(limit=10, primes=(1, 2))
+    with pytest.raises(DomainError):
+        PrimeSet(limit=10, primes=(3, 3))
+
+
+def test_sieve_matches_reference_small_limits():
+    with pytest.raises(DomainError):
+        sieve(0)
+    for limit in range(1, 301):
+        assert sieve(limit).primes == _sieve_reference(limit)
+
+
+def test_sieve_matches_reference_large_limit():
+    limit = 1_000_000 + int(np.random.default_rng(8).integers(1000))
+    got = sieve(limit)
+    assert got.primes == _sieve_reference(limit)
+    assert all(type(p) is int for p in got.primes)
+
+
+@pytest.mark.parametrize("bad", [2.5, 2.0, "3", True, None, 2**70])
+def test_prime_set_rejects_non_integers(bad):
+    with pytest.raises(DomainError):
+        PrimeSet(limit=10, primes=(bad,))
+    with pytest.raises(DomainError):
+        PrimeSet(limit=10, primes=(bad, 7))
+
+
+def test_prime_set_accepts_numpy_integers():
+    prime_set = PrimeSet(limit=10, primes=(np.int64(2), np.uint8(3), 5))
+    assert prime_set.array.tolist() == [2, 3, 5]
+
+
+@pytest.mark.parametrize("limit", [1, 2, 10, 10_000])
+def test_prime_set_cached_arrays(limit):
+    prime_set = sieve(limit)
+    assert prime_set.array.dtype == np.int64
+    assert np.array_equal(prime_set.array, np.array(prime_set.primes, dtype=np.int64))
+    want_log = np.log(np.array(prime_set.primes, dtype=float))
+    assert prime_set.log_primes.tobytes() == want_log.tobytes()
+    for cached in (prime_set.array, prime_set.log_primes):
+        assert not cached.flags.writeable
+        with pytest.raises(ValueError):
+            cached[:] = 0
+
+
+def test_prime_set_equality_ignores_cache():
+    first, second = sieve(100), sieve(100)
+    assert first.array is not second.array
+    assert first == second
+    assert hash(first) == hash(second)
+    assert "array" not in repr(first)
+
+
+def test_prime_set_replace_revalidates():
+    prime_set = sieve(100)
+    dropped = dataclasses.replace(prime_set, primes=prime_set.primes[:3] + prime_set.primes[4:])
+    assert 7 not in dropped.array.tolist()
+    assert len(dropped.array) == len(dropped.log_primes) == len(prime_set) - 1
+    assert dropped != prime_set
+    with pytest.raises(DomainError):
+        dataclasses.replace(prime_set, primes=prime_set.primes[::-1])
+    with pytest.raises(DomainError):
+        dataclasses.replace(prime_set, primes=prime_set.primes + (101,))
+    with pytest.raises(DomainError):
+        dataclasses.replace(prime_set, primes=(2, 3.5))
 
 
 # ---------------------------- gauge relation ----------------------------------
@@ -227,6 +327,24 @@ def test_varpi_log_modulus_reassociation():
         assert abs(math.log(abs(product)) - log_sum) < 1e-10
 
 
+PRIMES_TO_2000 = sieve(2000).primes
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    theta=st.floats(-50.0, 50.0),
+    convention=st.sampled_from(["as_printed", "both_minus"]),
+    picks=st.sets(st.integers(0, 302), min_size=1, max_size=120),
+)
+def test_varpi_bitwise_equals_two_exp_reference(theta, convention, picks):
+    subset = tuple(PRIMES_TO_2000[i] for i in sorted(picks))
+    prime_set = PrimeSet(limit=2000, primes=subset)
+    cfg = VarpiConfig(prime_limit=2000, sign_convention=convention)
+    want = _varpi_factors_reference(theta, prime_set, cfg)
+    assert bits(_varpi_factors(theta, prime_set, cfg)) == bits(want)
+    assert bits(varpi(theta, prime_set, cfg)) == bits(_guarded_product(want))
+
+
 def test_guarded_product_overflow_and_underflow():
     with pytest.raises(OverflowError):
         _guarded_product(np.full(200, 50.0, dtype=complex))
@@ -275,6 +393,33 @@ def test_scan_rerun_is_identical():
     second = varpi_scan(0.1, 2.0, 0.01, prime_set, cfg)
     assert first == second
     assert len(first) > 0
+
+
+def test_grid_values_and_moduli():
+    prime_set = sieve(300)
+    cfg = VarpiConfig(prime_limit=300, sign_convention="both_minus")
+    thetas, values, mods = varpi_grid(0.5, 0.9, 0.1, prime_set, cfg)
+    assert thetas.tolist() == [0.5 + 0.1 * k for k in range(5)]
+    for theta, value, modulus in zip(thetas, values, mods):
+        assert bits(value) == bits(varpi(float(theta), prime_set, cfg))
+        assert modulus == abs(value)
+    minima = varpi_scan(0.5, 0.9, 0.1, prime_set, cfg)
+    assert minima == strict_local_minima(thetas, mods)
+
+
+def test_grid_single_point():
+    prime_set = sieve(100)
+    cfg = VarpiConfig(prime_limit=100)
+    thetas, values, mods = varpi_grid(0.0, 0.0, 1.0, prime_set, cfg)
+    assert thetas.tolist() == [0.0]
+    assert values == [1.0 + 0j]
+    assert mods.tolist() == [1.0]
+    with pytest.raises(DomainError):
+        varpi_grid(1.0, 0.5, 0.01, prime_set, cfg)
+    with pytest.raises(DomainError):
+        varpi_grid(0.1, 1.0, 0.0, prime_set, cfg)
+    with pytest.raises(DomainError):
+        varpi_scan(0.5, 0.5, 0.01, prime_set, cfg)
 
 
 def test_scan_validation():

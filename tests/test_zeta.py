@@ -16,7 +16,6 @@ from fraczeta.zeta import (
     euler_product,
     find_zeros,
     hardy_rotation,
-    mobius,
     mobius_inverse_zeta,
     mobius_sieve,
     riemann_siegel_theta,
@@ -78,6 +77,40 @@ def eta_modulus_minimum_oracle(center: float, halfwidth: float = 0.05) -> float:
 # -------------------------------- mobius ------------------------------------
 
 
+def mobius(n: int) -> int:
+    """Mobius mu(n) by trial factorisation: mu(1) = 1, (-1)^k for a
+    product of k distinct primes, 0 when a square divides n."""
+    if n < 1:
+        raise DomainError("n must be >= 1")
+    if n == 1:
+        return 1
+    remaining = n
+    factors = 0
+    p = 2
+    while p * p <= remaining:
+        if remaining % p == 0:
+            remaining //= p
+            if remaining % p == 0:
+                return 0
+            factors += 1
+        p += 1 if p == 2 else 2
+    if remaining > 1:
+        factors += 1
+    return -1 if factors % 2 else 1
+
+
+def _mobius_sieve_reference(limit: int) -> np.ndarray:
+    """mu(0..limit) with one slice pass per prime up to limit."""
+    mu = np.ones(limit + 1, dtype=np.int8)
+    mu[0] = 0
+    for p in sieve(limit).primes:
+        mu[p::p] *= -1
+        square = p * p
+        if square <= limit:
+            mu[square::square] = 0
+    return mu
+
+
 def test_mobius_examples():
     assert mobius(1) == 1
     assert mobius(6) == 1
@@ -99,6 +132,18 @@ def test_mobius_agrees_with_sieve_table():
     table = mobius_sieve(5000)
     for n in range(1, 5001):
         assert mobius(n) == int(table[n])
+
+
+@pytest.mark.parametrize("limit", [1, 2, 3, 4, 24, 25, 26, 48, 49, 50, 1_000_333])
+def test_mobius_sieve_matches_reference(limit):
+    got = mobius_sieve(limit)
+    assert got.dtype == np.int8
+    assert np.array_equal(got, _mobius_sieve_reference(limit))
+
+
+def test_mobius_sieve_validation():
+    with pytest.raises(DomainError):
+        mobius_sieve(0)
 
 
 def test_mobius_divisor_sum_identity():
@@ -245,6 +290,16 @@ def test_euler_product_examples():
     assert abs(euler_product(3.0, sieve(10_000)) - direct3) < 1e-8
     with pytest.raises(DomainError):
         euler_product(1.0, sieve(100))
+
+
+def test_euler_product_bitwise_equals_tuple_formula():
+    for limit in (2, 1000, 100_000):
+        prime_set = sieve(limit)
+        p = np.asarray(prime_set.primes, dtype=float)
+        for s in (2.0, 1.5 + 14.0j, 3.0 - 7.5j):
+            want = complex(np.cumprod(1.0 / (1.0 - np.exp(-s * np.log(p))))[-1])
+            got = euler_product(s, prime_set)
+            assert np.array([got]).tobytes() == np.array([want]).tobytes()
 
 
 def test_euler_dirichlet_agreement():
