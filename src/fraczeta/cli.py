@@ -6,6 +6,10 @@ endings, 17-significant-digit floats) or as a single JSON object with
 value" comment lines.  Angles are emitted in degrees in CSV (keys and
 columns suffixed _deg) and in radians in JSON meta (suffixed _rad).
 
+Commands hand ``write_output`` one column per header name, plus the row
+count.  A column is an ndarray, list or range of one cell type; a bare
+scalar is a constant column.  Each column is formatted in one pass.
+
 Exit codes: 0 success, 2 validation or domain errors, 3 numerical
 failures.
 """
@@ -38,12 +42,6 @@ class OutputSpec:
     path: str | None = None
 
 
-def _fmt(value) -> str:
-    if isinstance(value, float):
-        return format(value, ".17g")
-    return str(value)
-
-
 def _fmt_meta(value) -> str:
     if isinstance(value, float):
         return format(value, ".17g")
@@ -52,10 +50,40 @@ def _fmt_meta(value) -> str:
     return str(value)
 
 
-def write_output(out: OutputSpec, header: list[str], rows: list[list], meta: dict) -> None:
+def _csv_cells(values: list) -> list[str]:
+    floats = bool(values) and isinstance(values[0], float)
+    return list(map("%.17g".__mod__ if floats else str, values))
+
+
+# item separator "\n": an encoded scalar never holds a raw newline
+_JSON_CELLS = json.JSONEncoder(separators=("\n", ": "))
+
+
+def _json_cells(values: list) -> list[str]:
+    return _JSON_CELLS.encode(values)[1:-1].split("\n") if values else []
+
+
+def _cells(column, n_rows: int, encode) -> list[str]:
+    if isinstance(column, np.ndarray):
+        return encode(column.tolist())
+    if isinstance(column, (list, range)):
+        return encode(list(column))
+    return encode([column]) * n_rows
+
+
+def write_output(
+    out: OutputSpec, header: list[str], columns: list, n_rows: int, meta: dict
+) -> None:
+    """Emit ``n_rows`` rows of ``columns`` (one per header name) as CSV or JSON."""
     if out.format == "json":
-        payload = {"meta": {**meta, "header": list(header)}, "rows": [list(r) for r in rows]}
-        text = json.dumps(payload, indent=2) + "\n"
+        cells = [_cells(col, n_rows, _json_cells) for col in columns]
+        # json.dumps's indent=2 layout, with the closing "\n}" cut off for the rows
+        text = json.dumps({"meta": {**meta, "header": list(header)}}, indent=2)[:-2]
+        if n_rows:
+            rows = "\n    ],\n    [\n      ".join(map(",\n      ".join, zip(*cells)))
+            text += f',\n  "rows": [\n    [\n      {rows}\n    ]\n  ]\n}}\n'
+        else:
+            text += ',\n  "rows": []\n}\n'
     else:
         lines = []
         for key, value in meta.items():
@@ -63,8 +91,7 @@ def write_output(out: OutputSpec, header: list[str], rows: list[list], meta: dic
                 key, value = key[:-4] + "_deg", math.degrees(value)
             lines.append(f"# {key}: {_fmt_meta(value)}")
         lines.append(",".join(header))
-        for row in rows:
-            lines.append(",".join(_fmt(x) for x in row))
+        lines += map(",".join, zip(*(_cells(col, n_rows, _csv_cells) for col in columns)))
         text = "\n".join(lines) + "\n"
     if out.path:
         with open(out.path, "w", newline="") as handle:
@@ -100,10 +127,10 @@ def cmd_transfer(args) -> int:
         grid = args.vmin * (args.vmax / args.vmin) ** (idx / (args.points - 1))
     else:
         grid = args.vmin + (args.vmax - args.vmin) * idx / (args.points - 1)
-    rows = []
-    for v in grid:
-        z = transfer.evaluate(params, float(v))
-        rows.append([float(v), z.real, z.imag, abs(z), math.degrees(cmath.phase(z))])
+    z = [transfer.evaluate(params, float(v)) for v in grid]
+    zs = np.array(z)
+    phase_deg = [math.degrees(cmath.phase(w)) for w in z]
+    columns = [grid, zs.real, zs.imag, list(map(abs, z)), phase_deg]
     arc = transfer.arc_geometry(params)
     meta = {
         "command": "transfer",
@@ -114,7 +141,8 @@ def cmd_transfer(args) -> int:
         "arc_chord": arc.chord,
         "depression_angle_rad": arc.depression_angle,
     }
-    write_output(_output_spec(args), ["v", "re", "im", "modulus", "phase_deg"], rows, meta)
+    header = ["v", "re", "im", "modulus", "phase_deg"]
+    write_output(_output_spec(args), header, columns, len(z), meta)
     return EXIT_OK
 
 
@@ -127,21 +155,21 @@ def cmd_relax(args) -> int:
     else:
         if not args.freq > 0:
             raise DomainError("freq must be > 0")
-        drive_values = np.sin(args.freq * t)
-    drive = SampledSignal(h=cfg.h, values=drive_values)
-    u = fracdiff.solve_relaxation(params, drive)
-    rows = [[float(tk), float(ik), float(uk)] for tk, ik, uk in zip(t, drive_values, u.values)]
-    meta = {"command": "relax", **_echo_flags(args)}
-    if args.drive == "sin":
         period = 2.0 * math.pi / args.freq
         span = cfg.h * (cfg.steps - 1)
         if span < 4 * period:
             raise ConfigError("sin drive needs steps*h >= 4 periods for the fit")
+        drive_values = np.sin(args.freq * t)
+    drive = SampledSignal(h=cfg.h, values=drive_values)
+    u = fracdiff.solve_relaxation(params, drive)
+    meta = {"command": "relax", **_echo_flags(args)}
+    if args.drive == "sin":
         tail = t >= span - 2 * period
         gain = fracdiff.fit_sinusoid(t[tail], u.values[tail], args.freq)
         meta["fit_gain"] = abs(gain)
         meta["fit_phase_rad"] = cmath.phase(gain)
-    write_output(_output_spec(args), ["t", "i_t", "u_t"], rows, meta)
+    columns = [t, drive_values, u.values]
+    write_output(_output_spec(args), ["t", "i_t", "u_t"], columns, cfg.steps, meta)
     return EXIT_OK
 
 
@@ -163,12 +191,12 @@ def cmd_zeta(args) -> int:
     else:
         prime_set = primes.sieve(args.prime_limit)
         value, used = zeta.euler_product(s, prime_set), len(prime_set)
-    rows = [[args.mode, s.real, s.imag, value.real, value.imag, used]]
     meta = {"command": "zeta", **_echo_flags(args)}
     write_output(
         _output_spec(args),
         ["mode", "s_re", "s_im", "value_re", "value_im", "terms_used"],
-        rows,
+        [args.mode, s.real, s.imag, value.real, value.imag, used],
+        1,
         meta,
     )
     return EXIT_OK
@@ -176,11 +204,10 @@ def cmd_zeta(args) -> int:
 
 def cmd_zeros(args) -> int:
     found = zeta.find_zeros(args.t_from, args.t_to, args.step)
-    rows = [[z.t_lo, z.t_hi, z.t_refined, z.residual] for z in found]
+    header = ["t_lo", "t_hi", "t_refined", "residual"]
+    columns = [[getattr(z, name) for z in found] for name in header]
     meta = {"command": "zeros", **_echo_flags(args), "count": len(found)}
-    write_output(
-        _output_spec(args), ["t_lo", "t_hi", "t_refined", "residual"], rows, meta
-    )
+    write_output(_output_spec(args), header, columns, len(found), meta)
     return EXIT_OK
 
 
@@ -188,7 +215,6 @@ def cmd_varpi(args) -> int:
     cfg = primes.VarpiConfig(prime_limit=args.primes, sign_convention=args.convention)
     prime_set = primes.sieve(cfg.prime_limit)
     thetas, values, mods = primes.varpi_grid(args.t_from, args.t_to, args.step, prime_set, cfg)
-    rows = [[float(t), v.real, v.imag, float(m)] for t, v, m in zip(thetas, values, mods)]
     minima = primes.strict_local_minima(thetas, mods)
     reference = [
         [sol.p, sol.k, sol.sign, sol.theta_prime]
@@ -205,7 +231,8 @@ def cmd_varpi(args) -> int:
     write_output(
         _output_spec(args),
         ["theta_prime", "varpi_re", "varpi_im", "modulus"],
-        rows,
+        [thetas, np.real(values), np.imag(values), mods],
+        len(thetas),
         meta,
     )
     return EXIT_OK
@@ -213,31 +240,14 @@ def cmd_varpi(args) -> int:
 
 def cmd_chart1(args) -> int:
     params = zeta.ChartParams(d=args.d, theta=args.theta)
-    if args.terms < 1:
-        raise DomainError("terms must be >= 1")
+    cumulative = zeta.chart1_partials(params, args.terms).cumulative
     s1, s2 = params.s1(), params.s2()
-    log_n = np.log(np.arange(1, args.terms + 1, dtype=float))
-    cum = {
-        "inv_h": np.cumsum(np.exp(-s1 * log_n)),
-        "lam_h": np.cumsum(np.exp(s1 * log_n)),
-        "inv_v": np.cumsum(np.exp(-s2 * log_n)),
-        "lam_v": np.cumsum(np.exp(s2 * log_n)),
-    }
     eta1 = zeta.eta(s1)
     eta2 = zeta.eta(s2)
-    rows = []
-    for i in range(args.terms):
-        rows.append(
-            [
-                i + 1,
-                cum["inv_h"][i].real, cum["inv_h"][i].imag,
-                cum["lam_h"][i].real, cum["lam_h"][i].imag,
-                cum["inv_v"][i].real, cum["inv_v"][i].imag,
-                cum["lam_v"][i].real, cum["lam_v"][i].imag,
-                eta1.real, eta1.imag,
-                eta2.real, eta2.imag,
-            ]
-        )
+    columns = [range(1, args.terms + 1)]
+    for partial in cumulative:
+        columns += [partial.real, partial.imag]
+    columns += [eta1.real, eta1.imag, eta2.real, eta2.imag]
     meta = {
         "command": "chart1",
         **_echo_flags(args),
@@ -254,7 +264,7 @@ def cmd_chart1(args) -> int:
         "eta_s1_re", "eta_s1_im",
         "eta_s2_re", "eta_s2_im",
     ]
-    write_output(_output_spec(args), header, rows, meta)
+    write_output(_output_spec(args), header, columns, args.terms, meta)
     return EXIT_OK
 
 

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -91,6 +91,8 @@ class ChartPartials:
 
     The positive-exponent columns diverge as N grows and are only
     meaningful as finite truncations, which is why N travels with them.
+    ``cumulative`` is the read-only (4, N) array of every partial sum,
+    rows in field order; the four scalars are its last column.
     """
 
     inv_xi_h: complex
@@ -98,6 +100,7 @@ class ChartPartials:
     inv_xi_v: complex
     lambda_v: complex
     terms: int
+    cumulative: np.ndarray = field(compare=False, repr=False)
 
 
 @dataclass(frozen=True)
@@ -232,33 +235,20 @@ def s_point(sigma: float, theta: float, sign: int) -> complex:
     return SPoint(sigma=sigma, theta=theta, sign=sign).as_complex()
 
 
-def _power_sums(s: complex, terms: int) -> tuple[complex, complex]:
-    """(Sum n^-s, Sum n^+s) over n = 1..terms."""
-    n = np.arange(1, terms + 1, dtype=float)
-    log_n = np.log(n)
-    return (
-        complex(np.sum(np.exp(-s * log_n))),
-        complex(np.sum(np.exp(s * log_n))),
-    )
-
-
 def chart1_partials(params: ChartParams, terms: int) -> ChartPartials:
-    """The four distance sums at truncation N = terms.
+    """The four distance sums at truncation N = terms, and at every N'
+    below it in ``cumulative``.
 
     Each summand is one theta-parametrised distance: n^(-s1) and n^(+s1)
     horizontally, n^(-s2) and n^(+s2) vertically.
     """
     if terms < 1:
         raise DomainError("terms must be >= 1")
-    inv_h, lam_h = _power_sums(params.s1(), terms)
-    inv_v, lam_v = _power_sums(params.s2(), terms)
-    return ChartPartials(
-        inv_xi_h=inv_h,
-        lambda_h=lam_h,
-        inv_xi_v=inv_v,
-        lambda_v=lam_v,
-        terms=terms,
-    )
+    s1, s2 = params.s1(), params.s2()
+    log_n = np.log(np.arange(1, terms + 1, dtype=float))
+    cumulative = np.stack([np.cumsum(np.exp(e * log_n)) for e in (-s1, s1, -s2, s2)])
+    cumulative.flags.writeable = False
+    return ChartPartials(*cumulative[:, -1].tolist(), terms=terms, cumulative=cumulative)
 
 
 def assertion_one_residual(

@@ -1,10 +1,54 @@
+import contextlib
+import io
 import json
 import math
+import sys
 
 import mpmath
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from fraczeta.cli import main
+import fraczeta.fracdiff
+from fraczeta.cli import OutputSpec, main, write_output
+
+
+# The row-wise writer the columnar ``write_output`` replaced, kept verbatim
+# as the byte-for-byte oracle for the output format.
+def _fmt(value) -> str:
+    if isinstance(value, float):
+        return format(value, ".17g")
+    return str(value)
+
+
+def _fmt_meta(value) -> str:
+    if isinstance(value, float):
+        return format(value, ".17g")
+    if isinstance(value, (list, tuple)):
+        return json.dumps(value)
+    return str(value)
+
+
+def _write_output_reference(out: OutputSpec, header: list[str], rows: list[list], meta: dict) -> None:
+    if out.format == "json":
+        payload = {"meta": {**meta, "header": list(header)}, "rows": [list(r) for r in rows]}
+        text = json.dumps(payload, indent=2) + "\n"
+    else:
+        lines = []
+        for key, value in meta.items():
+            if key.endswith("_rad") and isinstance(value, float):
+                key, value = key[:-4] + "_deg", math.degrees(value)
+            lines.append(f"# {key}: {_fmt_meta(value)}")
+        lines.append(",".join(header))
+        for row in rows:
+            lines.append(",".join(_fmt(x) for x in row))
+        text = "\n".join(lines) + "\n"
+    if out.path:
+        with open(out.path, "w", newline="") as handle:
+            handle.write(text)
+    else:
+        sys.stdout.write(text)
 
 
 def run_to_file(tmp_path, name, argv):
@@ -100,6 +144,16 @@ def test_relax_sin_fit_meta(tmp_path):
     meta, _, _ = parse_csv(out)
     assert abs(float(meta["fit_gain"]) - 0.5412) < 0.02 * 0.5412
     assert abs(float(meta["fit_phase_deg"]) + 22.5) < 0.5
+
+
+def test_relax_sin_too_short_fails_before_solving(monkeypatch, capsys):
+    def no_solve(*args, **kwargs):
+        raise AssertionError("solve_relaxation ran before the span check")
+
+    monkeypatch.setattr(fraczeta.fracdiff, "solve_relaxation", no_solve)
+    code = main(["relax", "--drive", "sin", "--freq", "1", "--h", "0.01", "--steps", "100"])
+    assert code == 2
+    assert "sin drive needs steps*h >= 4 periods for the fit" in capsys.readouterr().err
 
 
 def test_relax_step_guard(capsys):
@@ -317,3 +371,96 @@ def test_stdout_when_no_out_flag(capsys):
     assert code == 0
     captured = capsys.readouterr().out
     assert captured.splitlines()[-1].startswith("direct,2,")
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize(
+    "argv",
+    [["chart1", "--d", "2.5", "--theta", "3", "--terms", "40"],
+     ["zeros", "--from", "10", "--to", "30"]],
+    ids=["chart1", "zeros"],
+)
+def test_out_file_matches_stdout(tmp_path, capsys, argv, fmt):
+    argv = argv + ["--format", fmt]
+    assert main(argv) == 0
+    printed = capsys.readouterr().out
+    path = tmp_path / f"out.{fmt}"
+    assert main(argv + ["--out", str(path)]) == 0
+    written = path.read_bytes().decode()
+    # the meta block echoes the --out flag itself, and only there may they differ
+    if fmt == "csv":
+        echo = (f"# out: {path}", "# out: None")
+    else:
+        echo = (f'"out": {json.dumps(str(path))}', '"out": null')
+    assert written.count(echo[0]) == 1
+    assert written.replace(*echo) == printed
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["zeros", "--from", "1", "--to", "2"], ["chart1", "--d", "2", "--terms", "1"]],
+    ids=["zeros-empty", "chart1-one-term"],
+)
+def test_json_layout_is_json_dumps_indent2(capsys, argv):
+    assert main(argv + ["--format", "json"]) == 0
+    text = capsys.readouterr().out
+    assert text == json.dumps(json.loads(text), indent=2) + "\n"
+
+
+_FLOATS = st.one_of(
+    st.floats(),
+    st.sampled_from([math.nan, math.inf, -math.inf, -0.0, 5e-324, 2.2e-308, 1e308, -1e308]),
+)
+_CELLS = {
+    "float": _FLOATS,
+    "int": st.integers(-(2**70), 2**70),
+    "bool": st.booleans(),
+    "str": st.text(st.one_of(st.sampled_from(',"\n\r\\é€ '), st.characters()), max_size=8),
+}
+_SCALARS = st.one_of(*_CELLS.values(), _FLOATS.map(np.float64))
+
+
+@st.composite
+def _tables(draw):
+    """(header, columns, n_rows, reference rows): homogeneous columns as
+    lists, ndarrays or ranges, and constant columns given as one scalar."""
+    n_rows = draw(st.integers(0, 50))
+    header, columns, cells = [], [], []
+    for k in range(draw(st.integers(1, 5))):
+        kind = draw(st.sampled_from(sorted(_CELLS) + ["constant", "range"]))
+        if kind == "constant":
+            value = draw(_SCALARS)
+            columns.append(value)
+            cells.append([value] * n_rows)
+        elif kind == "range":
+            start = draw(st.integers(-5, 5))
+            columns.append(range(start, start + n_rows))
+            cells.append(list(columns[-1]))
+        else:
+            values = draw(st.lists(_CELLS[kind], min_size=n_rows, max_size=n_rows))
+            as_array = kind != "str" and draw(st.booleans())
+            if kind == "int" and any(abs(v) >= 2**63 for v in values):
+                as_array = False
+            columns.append(np.array(values, dtype=type(values[0])) if as_array and values
+                           else values)
+            cells.append(values)
+        header.append(f"c{k}")
+    return header, columns, n_rows, [list(row) for row in zip(*cells)]
+
+
+def _printed(writer, *args) -> str:
+    with contextlib.redirect_stdout(io.StringIO()) as buffer:
+        writer(*args)
+    return buffer.getvalue()
+
+
+@settings(max_examples=100, deadline=None)
+@given(table=_tables(), angle=_FLOATS, plain=_FLOATS)
+def test_columnar_writer_matches_row_reference(table, angle, plain):
+    header, columns, n_rows, rows = table
+    meta = {"command": "t", "angle_rad": angle, "value": plain,
+            "nested": [[1, 2.5], ["a,b", [True, None]]], "label": "x y"}
+    for fmt in ("csv", "json"):
+        out = OutputSpec(format=fmt)
+        assert (_printed(write_output, out, header, columns, n_rows, meta)
+                == _printed(_write_output_reference, out, header, rows, meta))

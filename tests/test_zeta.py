@@ -1,4 +1,5 @@
 import cmath
+import dataclasses
 import math
 
 import mpmath
@@ -341,6 +342,24 @@ def test_chart1_lambda_column_diverges():
     small = chart1_partials(ChartParams(d=2.0, theta=0.0), 10)
     large = chart1_partials(ChartParams(d=2.0, theta=0.0), 100)
     assert abs(large.lambda_h) > abs(small.lambda_h)
+
+
+def test_chart1_partials_cumulative_columns():
+    params = ChartParams(d=3.0, theta=2.0)
+    parts = chart1_partials(params, 50)
+    cum = parts.cumulative
+    assert cum.shape == (4, 50) and cum.dtype == complex
+    assert not cum.flags.writeable
+    assert cum[:, -1].tolist() == [parts.inv_xi_h, parts.lambda_h, parts.inv_xi_v, parts.lambda_v]
+    s1, s2 = params.s1(), params.s2()
+    for row, exponent in zip(cum, (-s1, s1, -s2, s2)):
+        for n in (1, 7, 50):
+            want = sum(cmath.exp(exponent * math.log(k)) for k in range(1, n + 1))
+            assert abs(row[n - 1] - want) < 1e-13 * max(1.0, abs(want))
+    # the array is derived data: equality, hash and repr ignore it
+    assert dataclasses.replace(parts, cumulative=None) == parts
+    assert hash(dataclasses.replace(parts, cumulative=None)) == hash(parts)
+    assert "cumulative" not in repr(parts)
 
 
 def test_chart_params_validation():
