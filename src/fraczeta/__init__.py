@@ -21,7 +21,6 @@ from .core import (
     cpow_principal,
     log_gamma,
     sum_alternating,
-    sum_alternating_direct,
 )
 from .errors import (
     ConfigError,
@@ -125,7 +124,6 @@ __all__ = [
     "solve_relaxation",
     "solve_theta_prime",
     "sum_alternating",
-    "sum_alternating_direct",
     "varpi",
     "varpi_scan",
     "zeta_direct",

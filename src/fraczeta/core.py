@@ -216,18 +216,3 @@ def sum_alternating(
     value, _ = sum_alternating_info(term, cfg)
     return value
 
-
-def sum_alternating_direct(term: Callable[[int], Complexish], n_terms: int) -> complex:
-    """Raw partial sum of the alternating series, no acceleration.
-
-    Verification oracle for :func:`sum_alternating`; for real decreasing
-    terms the truncation error is bounded by |term(n_terms + 1)|.
-    """
-    if n_terms < 1:
-        raise DomainError("n_terms must be >= 1")
-    s = 0j
-    sign = 1.0
-    for n in range(1, n_terms + 1):
-        s += sign * complex(term(n))
-        sign = -sign
-    return s

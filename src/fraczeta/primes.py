@@ -12,9 +12,10 @@ whose modulus is scanned on a grid for local minima.  The truncated
 product is all that is computed here; nothing is claimed about its
 infinite-cutoff limit, and the scan's stability is measured, not assumed
 (rerunning with a doubled prime cutoff visibly moves the minima, see the
-test suite).  The products read a :class:`PrimeSet`'s cached arrays, never
-its tuple, and take p^(-s-) as the conjugate of p^(-s+): one complex exp
-per factor.
+test suite).  The products read a :class:`PrimeSet`'s cached arrays and
+take p^(-s-) as the conjugate of p^(-s+): one complex exp per factor.
+The sieve hands its int64 array straight to the set; the public
+``primes`` tuple is built on its first read, and no library code reads it.
 """
 
 from __future__ import annotations
@@ -31,37 +32,63 @@ from .errors import DomainError, LimitError
 SIEVE_LIMIT_CAP = 100_000_000
 
 
+class _TupleOnRead:
+    """Dataclass field that stores the value it is given and reads as a
+    tuple: a stored non-tuple is replaced, on the first read, by the tuple
+    of Python ints in the owner's ``array``."""
+
+    def __set_name__(self, owner, name: str) -> None:
+        self.name = name
+
+    def __get__(self, obj, objtype=None):
+        if obj is None:
+            raise AttributeError(self.name)  # no class-level default: the field is required
+        value = obj.__dict__[self.name]
+        if not isinstance(value, tuple):
+            value = obj.__dict__[self.name] = tuple(obj.array.tolist())
+        return value
+
+    def __set__(self, obj, value) -> None:
+        obj.__dict__[self.name] = value
+
+
 @dataclass(frozen=True)
 class PrimeSet:
     """All primes up to ``limit``, ascending.
 
-    ``primes`` is the public tuple.  Construction validates it once,
-    vectorised, and caches it as the read-only int64 ``array`` and ln p
-    as the read-only ``log_primes`` that the products read.  Both are left
-    out of ``==``, ``hash`` and ``repr``; ``dataclasses.replace`` rebuilds
-    and re-validates them.
+    ``primes`` may be given as any sequence of integers: a tuple, a list or
+    an integer array.  Construction validates it once, vectorised, into a
+    read-only int64 copy, ``array``, and ln p as the read-only
+    ``log_primes``; the products read only these.  Read back, ``primes`` is
+    a tuple: the one given, or else the tuple of Python ints built from
+    ``array`` on the first read and then kept.  ``len`` is ``array.size``.
+    ``==``, ``hash`` and ``repr`` use ``limit`` and the tuple;
+    ``dataclasses.replace`` re-validates.
     """
 
     limit: int
-    primes: tuple[int, ...]
+    primes: tuple[int, ...] = _TupleOnRead()
     array: np.ndarray = field(init=False, repr=False, compare=False)
     log_primes: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        array = np.array(self.primes, dtype=None if len(self.primes) else np.int64)
-        if array.dtype.kind not in "iu":
-            raise DomainError("primes must be integers")
+        given = vars(self)["primes"]
+        array = np.array(given, dtype=None if len(given) else np.int64)
+        if array.dtype.kind not in "iu" or array.ndim != 1:
+            raise DomainError("primes must be a flat sequence of integers")
         array = array.astype(np.int64, copy=False)
         if array.size and not 2 <= array.min() <= array.max() <= self.limit:
             raise DomainError("primes must lie in [2, limit]")
         if not np.all(array[1:] > array[:-1]):
             raise DomainError("primes must be strictly ascending")
+        if not isinstance(given, tuple):
+            object.__setattr__(self, "primes", array)  # drop the caller's list or array
         for name, value in (("array", array), ("log_primes", np.log(array.astype(float)))):
             value.flags.writeable = False
             object.__setattr__(self, name, value)
 
     def __len__(self) -> int:
-        return len(self.primes)
+        return self.array.size
 
 
 @dataclass(frozen=True)
@@ -112,12 +139,13 @@ def sieve(limit: int) -> PrimeSet:
     if limit < 2:
         return PrimeSet(limit=limit, primes=())
     odd = np.ones((limit + 1) // 2, dtype=bool)  # odd[i]: is 2i + 1 prime
-    odd[0] = False
     for i in range(1, (math.isqrt(limit) + 1) // 2):
         if odd[i]:
             p = 2 * i + 1
             odd[p * p // 2 :: p] = False
-    return PrimeSet(limit=limit, primes=(2, *(2 * np.flatnonzero(odd) + 1).tolist()))
+    primes = 2 * np.flatnonzero(odd) + 1  # odd[0] is never cleared: its slot holds 2
+    primes[0] = 2
+    return PrimeSet(limit=limit, primes=primes)
 
 
 def mandelbrot_gauge(p: float, vc: float, d: float) -> float:

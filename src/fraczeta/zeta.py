@@ -34,8 +34,8 @@ from .core import (
     require_finite,
     sum_alternating_info,
 )
-from .errors import ConvergenceError, DomainError, PoleError, SingularFactorError
-from .primes import PrimeSet, sieve
+from .errors import ConvergenceError, DomainError, LimitError, PoleError, SingularFactorError
+from .primes import SIEVE_LIMIT_CAP, PrimeSet, sieve
 from .transfer import conjugate_exponent
 
 ZERO_BRACKET_WIDTH = 1e-8
@@ -183,18 +183,23 @@ def zeta_direct(s: complex, terms: int) -> complex:
         raise DomainError("zeta_direct requires Re(s) > 1")
     if terms < 1:
         raise DomainError("terms must be >= 1")
+    if terms > SIEVE_LIMIT_CAP:
+        raise LimitError(f"terms {terms} exceeds {SIEVE_LIMIT_CAP}")
     n = np.arange(1, terms + 1, dtype=float)
     return require_finite(complex(np.sum(np.exp(-s * np.log(n)))))
 
 
 def mobius_sieve(limit: int) -> np.ndarray:
-    """mu(0..limit) as an int8 table (mu(0) stored as 0)."""
+    """mu(0..limit) as an int8 table (mu(0) stored as 0); limit is capped
+    as the sieve's is."""
     if limit < 1:
         raise DomainError("limit must be >= 1")
+    if limit > SIEVE_LIMIT_CAP:
+        raise LimitError(f"mobius limit {limit} exceeds {SIEVE_LIMIT_CAP}")
     mu = np.ones(limit + 1, dtype=np.int8)
     mu[0] = 0
     rem = np.arange(limit + 1)
-    for p in sieve(math.isqrt(limit)).primes:
+    for p in sieve(math.isqrt(limit)).array.tolist():
         mu[p::p] *= -1
         mu[p * p :: p * p] = 0
         rem[p::p] //= p

@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import fraczeta.fracdiff
+import fraczeta.zeta
 from fraczeta.cli import OutputSpec, main, write_output
 
 
@@ -168,6 +169,16 @@ def test_zeta_pole_exit(capsys):
     code = main(["zeta", "--mode", "zeta", "--sigma", "1", "--theta", "0"])
     assert code == 2
     assert "PoleError" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("mode", ["mobius", "direct"])
+def test_zeta_oversized_terms_exit2_before_allocating(monkeypatch, capsys, mode):
+    # without numpy, a call that got past the cap fails instead of allocating
+    monkeypatch.setattr(fraczeta.zeta, "np", None)
+    code = main(["zeta", "--mode", mode, "--sigma", "2", "--theta", "0",
+                 "--terms", "2000000000"])
+    assert code == 2
+    assert "LimitError" in capsys.readouterr().err
 
 
 def test_zeta_first_zero_small_modulus(tmp_path):
@@ -452,6 +463,16 @@ def _printed(writer, *args) -> str:
     with contextlib.redirect_stdout(io.StringIO()) as buffer:
         writer(*args)
     return buffer.getvalue()
+
+
+def test_all_constant_columns_at_zero_rows_print_no_rows():
+    header, columns, meta = ["a", "b", "c"], [1.5, "x", np.float64(2.0)], {"command": "t"}
+    csv = _printed(write_output, OutputSpec(format="csv"), header, columns, 0, meta)
+    assert csv == "# command: t\na,b,c\n"
+    text = _printed(write_output, OutputSpec(format="json"), header, columns, 0, meta)
+    assert json.loads(text)["rows"] == []
+    for fmt, got in (("csv", csv), ("json", text)):
+        assert got == _printed(_write_output_reference, OutputSpec(format=fmt), header, [], meta)
 
 
 @settings(max_examples=100, deadline=None)

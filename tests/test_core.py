@@ -1,5 +1,6 @@
 import cmath
 import math
+from typing import Callable
 
 import numpy as np
 import pytest
@@ -9,12 +10,12 @@ from scipy.integrate import quad
 
 from fraczeta.core import (
     _ACCEL_DEGREE_CAP,
+    Complexish,
     ToleranceConfig,
     _accel_weights,
     cpow_principal,
     log_gamma,
     sum_alternating,
-    sum_alternating_direct,
     sum_alternating_info,
 )
 from fraczeta.errors import ConfigError, ConvergenceError, DomainError, PoleError
@@ -113,6 +114,23 @@ def test_log_gamma_reflection_region_consistency():
 
 
 # ---------------------------- sum_alternating -------------------------------
+
+
+# The raw partial sum, moved here from fraczeta.core: no code in src/ calls it.
+def sum_alternating_direct(term: Callable[[int], Complexish], n_terms: int) -> complex:
+    """Raw partial sum of the alternating series, no acceleration.
+
+    Verification oracle for :func:`sum_alternating`; for real decreasing
+    terms the truncation error is bounded by |term(n_terms + 1)|.
+    """
+    if n_terms < 1:
+        raise DomainError("n_terms must be >= 1")
+    s = 0j
+    sign = 1.0
+    for n in range(1, n_terms + 1):
+        s += sign * complex(term(n))
+        sign = -sign
+    return s
 
 
 def _direct_eta_partial(s: float, n_terms: int) -> tuple[float, float]:

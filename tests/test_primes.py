@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import fraczeta.zeta
 from fraczeta.errors import DomainError, LimitError
 from fraczeta.primes import (
     PrimeSet,
@@ -23,6 +24,7 @@ from fraczeta.primes import (
     varpi_grid,
     varpi_scan,
 )
+from fraczeta.zeta import euler_product, mobius_sieve
 
 
 def is_prime_trial(n: int) -> bool:
@@ -162,6 +164,111 @@ def test_prime_set_replace_revalidates():
         dataclasses.replace(prime_set, primes=prime_set.primes + (101,))
     with pytest.raises(DomainError):
         dataclasses.replace(prime_set, primes=(2, 3.5))
+
+
+def _holds_tuple(prime_set: PrimeSet) -> bool:
+    """Whether the set has built (or was given) its ``primes`` tuple."""
+    return isinstance(vars(prime_set)["primes"], tuple)
+
+
+@pytest.mark.parametrize(
+    "given",
+    [
+        (2, 3, 5, 7),
+        [2, 3, 5, 7],
+        np.array([2, 3, 5, 7], dtype=np.int64),
+        np.array([2, 3, 5, 7], dtype=np.int32),
+        (np.int64(2), np.int32(3), np.uint8(5), np.int16(7)),
+    ],
+    ids=["tuple", "list", "int64", "int32", "numpy-ints"],
+)
+def test_prime_set_accepts_integer_sequences(given):
+    prime_set = PrimeSet(limit=10, primes=given)
+    assert prime_set.array.dtype == np.int64
+    assert prime_set.array.tolist() == [2, 3, 5, 7]
+    assert len(prime_set) == 4
+    assert prime_set == PrimeSet(limit=10, primes=(2, 3, 5, 7))
+
+
+@pytest.mark.parametrize(
+    "bad",
+    [
+        np.array([2.0, 3.0, 5.0]),
+        np.array([True, True]),
+        np.array([3, 2, 5]),
+        np.array([2, 3, 3, 5]),
+        np.array([2, 3, 11]),
+        np.array([1, 2, 3]),
+        np.array([[2, 3], [5, 7]]),
+    ],
+    ids=["float", "bool", "unsorted", "repeats", "above-limit", "below-two", "2-d"],
+)
+def test_prime_set_rejects_bad_arrays(bad):
+    with pytest.raises(DomainError):
+        PrimeSet(limit=10, primes=bad)
+
+
+@pytest.mark.parametrize("limit", [2, 3, 10_000, 100_003])
+def test_array_built_primes_read_as_python_int_tuple(limit):
+    prime_set = PrimeSet(limit=limit, primes=sieve(limit).array)
+    assert not _holds_tuple(prime_set)
+    got = prime_set.primes
+    assert type(got) is tuple
+    assert all(type(p) is int for p in got)
+    assert got == _sieve_reference(limit)
+    assert prime_set.primes is got  # built once, then kept
+
+
+def test_array_built_and_tuple_built_sets_agree():
+    from_array = sieve(1000)
+    from_tuple = PrimeSet(limit=1000, primes=_sieve_reference(1000))
+    assert from_array == from_tuple
+    assert hash(from_array) == hash(from_tuple)
+    assert repr(from_array) == repr(from_tuple)
+    assert from_array != PrimeSet(limit=1001, primes=_sieve_reference(1000))
+
+
+def test_prime_set_copies_the_callers_array_and_list():
+    given = np.array([2, 3, 5, 7])
+    as_list = given.tolist()
+    from_array = PrimeSet(limit=10, primes=given)
+    from_list = PrimeSet(limit=10, primes=as_list)
+    given[0] = 11
+    as_list[0] = 11
+    for prime_set in (from_array, from_list):
+        assert prime_set.array.tolist() == [2, 3, 5, 7]
+        assert vars(prime_set)["primes"] is prime_set.array
+        assert prime_set.primes == (2, 3, 5, 7)
+
+
+def test_prime_set_field_stays_frozen_and_required():
+    prime_set = sieve(30)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        prime_set.primes = (2, 3)
+    with pytest.raises(TypeError):
+        PrimeSet(limit=30)
+    assert dataclasses.replace(prime_set, primes=prime_set.array[:-1]).primes[-1] == 23
+
+
+def test_library_paths_never_build_the_tuple(monkeypatch):
+    prime_set = sieve(10_000)
+    cfg = VarpiConfig(prime_limit=10_000)
+    assert len(prime_set) == 1229
+    varpi(0.3, prime_set, cfg)
+    varpi_scan(0.1, 0.5, 0.05, prime_set, cfg)
+    euler_product(2.0, prime_set)
+    assert not _holds_tuple(prime_set)
+
+    built = []
+
+    def recording_sieve(limit):
+        built.append(sieve(limit))
+        return built[-1]
+
+    monkeypatch.setattr(fraczeta.zeta, "sieve", recording_sieve)
+    mobius_sieve(10_000)
+    assert [len(s) for s in built] == [25]
+    assert not _holds_tuple(built[0])
 
 
 # ---------------------------- gauge relation ----------------------------------

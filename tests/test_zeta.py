@@ -6,8 +6,9 @@ import mpmath
 import numpy as np
 import pytest
 
-from fraczeta.errors import DomainError, PoleError, SingularFactorError
-from fraczeta.primes import sieve
+import fraczeta.zeta
+from fraczeta.errors import DomainError, LimitError, PoleError, SingularFactorError
+from fraczeta.primes import SIEVE_LIMIT_CAP, sieve
 from fraczeta.zeta import (
     ChartParams,
     assertion_one_residual,
@@ -145,6 +146,18 @@ def test_mobius_sieve_matches_reference(limit):
 def test_mobius_sieve_validation():
     with pytest.raises(DomainError):
         mobius_sieve(0)
+
+
+def test_oversized_sums_raise_limit_error_before_allocating(monkeypatch):
+    # without numpy, a call that got past the cap fails instead of allocating
+    monkeypatch.setattr(fraczeta.zeta, "np", None)
+    over = SIEVE_LIMIT_CAP + 1
+    with pytest.raises(LimitError):
+        mobius_sieve(over)
+    with pytest.raises(LimitError):
+        mobius_inverse_zeta(2.0, over)
+    with pytest.raises(LimitError):
+        zeta_direct(2.0, over)
 
 
 def test_mobius_divisor_sum_identity():
