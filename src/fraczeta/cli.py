@@ -213,6 +213,7 @@ def cmd_zeros(args) -> int:
 
 def cmd_varpi(args) -> int:
     cfg = primes.VarpiConfig(prime_limit=args.primes, sign_convention=args.convention)
+    primes.grid_size(args.t_from, args.t_to, args.step)  # a bad grid fails before the sieve
     prime_set = primes.sieve(cfg.prime_limit)
     thetas, values, mods = primes.varpi_grid(args.t_from, args.t_to, args.step, prime_set, cfg)
     minima = primes.strict_local_minima(thetas, mods)

@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import fraczeta.fracdiff
+import fraczeta.primes
 import fraczeta.zeta
 from fraczeta.cli import OutputSpec, main, write_output
 
@@ -292,6 +293,32 @@ def test_varpi_prime_limit_guard(capsys):
     assert main(["varpi", "--from", "0", "--to", "1", "--step", "0.5",
                  "--primes", "1"]) == 2
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("grid, error", [
+    (["--to", "inf", "--step", "0.1"], "DomainError"),
+    (["--to", "nan", "--step", "0.1"], "DomainError"),
+    (["--to", "1e9", "--step", "1e-6"], "LimitError"),
+    (["--to", "1", "--step", "1e-300"], "LimitError"),
+])
+def test_varpi_bad_grid_exit2_before_allocating(monkeypatch, capsys, grid, error):
+    # without numpy, a grid that got past the checks fails instead of allocating
+    monkeypatch.setattr(fraczeta.primes, "np", None)
+    code = main(["varpi", "--from", "0", *grid, "--primes", "100"])
+    assert code == 2
+    assert error in capsys.readouterr().err
+
+
+def test_varpi_both_minus_imaginary_column_is_zero(tmp_path):
+    code, out = run_to_file(
+        tmp_path, "v.csv",
+        ["varpi", "--from", "0.1", "--to", "5", "--step", "0.01", "--primes", "10000",
+         "--convention", "both_minus"],
+    )
+    assert code == 0
+    _, _, rows = parse_csv(out)
+    assert len(rows) == 491
+    assert {row[2] for row in rows} == {"0"}
 
 
 # --------------------------------- chart1 -------------------------------------

@@ -4,12 +4,15 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import fraczeta.primes
 import fraczeta.zeta
 from fraczeta.errors import DomainError, LimitError
 from fraczeta.primes import (
+    _GRID_BLOCK_CELLS,
+    GRID_POINT_CAP,
     PrimeSet,
     ThetaPrimeSolution,
     VarpiConfig,
@@ -24,7 +27,7 @@ from fraczeta.primes import (
     varpi_grid,
     varpi_scan,
 )
-from fraczeta.zeta import euler_product, mobius_sieve
+from fraczeta.zeta import euler_product, mobius_sieve, zeta_from_eta
 
 
 def is_prime_trial(n: int) -> bool:
@@ -50,7 +53,8 @@ def _sieve_reference(limit: int) -> tuple[int, ...]:
 
 
 def _varpi_factors_reference(theta_prime, primes, cfg):
-    """The varpi factors with both p^(-s+) and p^(-s-) taken by exp."""
+    """The varpi factors with both p^(-s+) and p^(-s-) taken by exp, one
+    theta' at a time: the oracle for the closed-form, blocked path."""
     log_p = np.log(np.asarray(primes.primes, dtype=float))
     a = np.exp(-complex(0.5, theta_prime) * log_p)
     b = np.exp(-complex(0.5, -theta_prime) * log_p)
@@ -62,6 +66,12 @@ def _varpi_factors_reference(theta_prime, primes, cfg):
 def bits(values) -> bytes:
     """The exact bytes of a complex or an array, signed zeros included."""
     return np.asarray(values, dtype=complex).tobytes()
+
+
+def rel_err(got, want) -> float:
+    """Normwise relative error max |got - want| / max |want|."""
+    got, want = np.asarray(got), np.asarray(want)
+    return float(np.max(np.abs(got - want)) / np.max(np.abs(want)))
 
 
 # --------------------------------- sieve -------------------------------------
@@ -443,13 +453,16 @@ PRIMES_TO_2000 = sieve(2000).primes
     convention=st.sampled_from(["as_printed", "both_minus"]),
     picks=st.sets(st.integers(0, 302), min_size=1, max_size=120),
 )
-def test_varpi_bitwise_equals_two_exp_reference(theta, convention, picks):
+def test_varpi_within_1e12_of_two_exp_reference(theta, convention, picks):
     subset = tuple(PRIMES_TO_2000[i] for i in sorted(picks))
     prime_set = PrimeSet(limit=2000, primes=subset)
     cfg = VarpiConfig(prime_limit=2000, sign_convention=convention)
     want = _varpi_factors_reference(theta, prime_set, cfg)
-    assert bits(_varpi_factors(theta, prime_set, cfg)) == bits(want)
-    assert bits(varpi(theta, prime_set, cfg)) == bits(_guarded_product(want))
+    assert rel_err(_varpi_factors(theta, prime_set, cfg), want) <= 1e-12
+    # a both_minus factor near a root of 1 - 2 cos(theta ln p)/sqrt(p) (p = 2
+    # or 3) divides the product's relative error, on either path, by its size
+    amplify = max(1.0, float(np.max(1.0 / np.abs(want))))
+    assert rel_err(varpi(theta, prime_set, cfg), _guarded_product(want)) <= 1e-12 * amplify
 
 
 def test_guarded_product_overflow_and_underflow():
@@ -458,6 +471,53 @@ def test_guarded_product_overflow_and_underflow():
     with pytest.raises(OverflowError):
         _guarded_product(np.full(200, 0.01, dtype=complex))
     assert _guarded_product(np.full(10, 2.0, dtype=complex)) == 1024.0 + 0j
+
+
+def test_guarded_product_checks_every_partial_of_every_row():
+    # row 1 dips to 1e-320 and climbs back to 1: only its partials show it
+    rows = np.array([[2.0, 2.0, 0.5, 0.5], [1e-160, 1e-160, 1e160, 1e160]])
+    with pytest.raises(OverflowError):
+        _guarded_product(rows)
+    assert _guarded_product(rows[:1]).tolist() == [1.0]
+
+
+def test_varpi_is_exactly_one_at_negative_zero():
+    for limit in (2, 100, 10_000):
+        assert varpi(-0.0, sieve(limit), VarpiConfig(prime_limit=limit)) == 1.0
+
+
+def test_both_minus_factor_is_squared_modulus_less_inverse_p():
+    # 1 - a - conj(a) = |1 - a|^2 - 1/p with a = p^(-1/2 - i theta)
+    prime_set = sieve(10_000)
+    cfg = VarpiConfig(prime_limit=10_000, sign_convention="both_minus")
+    p = prime_set.array.astype(float)
+    for theta in (0.37, 14.1, 33.3, 59.9):
+        factors = _varpi_factors(theta, prime_set, cfg)
+        identity = np.abs(1.0 - p ** complex(-0.5, -theta)) ** 2 - 1.0 / p
+        assert np.max(np.abs(factors - identity)) <= 1e-15
+
+
+def test_both_minus_values_are_real():
+    prime_set = sieve(10_000)
+    cfg = VarpiConfig(prime_limit=10_000, sign_convention="both_minus")
+    for theta in (0.37, 14.1, 33.3):
+        assert varpi(theta, prime_set, cfg).imag == 0.0
+    _, values, _ = varpi_grid(0.1, 5.0, 0.01, prime_set, cfg)
+    assert np.all(values.imag == 0.0)
+
+
+PRIMES_TO_10000 = sieve(10_000)
+
+
+@settings(max_examples=100, deadline=None)
+@given(theta=st.floats(-50.0, 50.0))
+@example(theta=1.0462873692215732e-09)
+def test_as_printed_modulus_is_at_least_one(theta):
+    # every factor 1 + 2i sin(theta ln p)/sqrt(p) has modulus >= 1; near
+    # theta = 1e-9 the rounded real part takes the product below 1 by up to
+    # 3.5e-14 at this cutoff, well inside one eps per factor
+    value = varpi(theta, PRIMES_TO_10000, VarpiConfig(prime_limit=10_000))
+    assert abs(value) >= 1.0 - len(PRIMES_TO_10000) * np.finfo(float).eps
 
 
 def test_varpi_config_validation():
@@ -536,3 +596,68 @@ def test_scan_validation():
         varpi_scan(1.0, 0.5, 0.01, prime_set, cfg)
     with pytest.raises(DomainError):
         varpi_scan(0.1, 1.0, 0.0, prime_set, cfg)
+
+
+@pytest.mark.parametrize("convention", ["as_printed", "both_minus"])
+def test_grid_blocks_equal_single_points_bitwise(convention):
+    prime_set = sieve(100_000)
+    cfg = VarpiConfig(prime_limit=100_000, sign_convention=convention)
+    rows = _GRID_BLOCK_CELLS // len(prime_set)
+    count = 3 * rows + 2  # three full blocks and a partial one
+    thetas, values, mods = varpi_grid(0.3, 0.3 + (count - 1) * 0.37, 0.37, prime_set, cfg)
+    assert len(thetas) == count
+    assert bits(values) == bits([varpi(float(t), prime_set, cfg) for t in thetas])
+    assert mods.tolist() == [abs(complex(v)) for v in values]
+
+
+@pytest.mark.parametrize("limit", [10_000, 100_000])
+def test_grid_within_1e12_of_two_exp_reference(limit):
+    prime_set = sieve(limit)
+    for convention in ("as_printed", "both_minus"):
+        cfg = VarpiConfig(prime_limit=limit, sign_convention=convention)
+        thetas, values, _ = varpi_grid(0.5, 60.0, 5.5, prime_set, cfg)
+        want = [_guarded_product(_varpi_factors_reference(t, prime_set, cfg)) for t in thetas]
+        for value, ref in zip(values, want):
+            assert rel_err(value, ref) <= 1e-12
+
+
+def test_grid_rejects_non_finite_arguments():
+    prime_set = sieve(100)
+    cfg = VarpiConfig(prime_limit=100)
+    for args in ((0.0, math.inf, 0.1), (-math.inf, 1.0, 0.1), (0.0, 1.0, math.inf),
+                 (math.nan, 1.0, 0.1), (0.0, math.nan, 0.1), (0.0, 1.0, math.nan)):
+        with pytest.raises(DomainError):
+            varpi_grid(*args, prime_set, cfg)
+
+
+def test_grid_point_cap_raises_limit_error_before_allocating(monkeypatch):
+    prime_set = sieve(100)
+    cfg = VarpiConfig(prime_limit=100)
+    # without numpy, a grid that got past the cap fails instead of allocating
+    monkeypatch.setattr(fraczeta.primes, "np", None)
+    for lo, hi, step in ((0.0, float(GRID_POINT_CAP), 1.0),  # cap + 1 points
+                         (0.0, 1e9, 1e-6), (0.0, 1.0, 1e-300), (-1e308, 1e308, 1.0)):
+        with pytest.raises(LimitError):
+            varpi_grid(lo, hi, step, prime_set, cfg)
+    with pytest.raises(AttributeError):  # cap points pass the guard
+        varpi_grid(0.0, GRID_POINT_CAP - 1.0, 1.0, prime_set, cfg)
+
+
+def test_both_minus_log_modulus_tracks_inverse_zeta_squared():
+    """The measured zeta reading of both_minus on theta in [10, 60], step
+    0.01, cutoff 1e4 (5001 points).  Each factor is |1 - p^(-1/2-i theta)|^2
+    - 1/p, so log|varpi| follows -log|zeta_X(1/2 + i theta)|^2, zeta_X the
+    truncated Euler product: correlation 0.892.  Against -log|zeta|^2 from
+    the eta engine it reads 0.826.  Thresholds sit 0.04 below each."""
+    prime_set = sieve(10_000)
+    cfg = VarpiConfig(prime_limit=10_000, sign_convention="both_minus")
+    thetas, _, mods = varpi_grid(10.0, 60.0, 0.01, prime_set, cfg)
+    p = prime_set.array.astype(float)
+    inv_zeta_x_sq = np.empty(len(thetas))  # 1/|zeta_X|^2 = prod |1 - p^(-s)|^2
+    for start in range(0, len(thetas), 64):
+        x = thetas[start : start + 64, None] * prime_set.log_primes
+        inv_zeta_x_sq[start : start + 64] = np.prod(1.0 + 1.0 / p - 2.0 * np.cos(x) / np.sqrt(p), axis=1)
+    zeta = np.array([zeta_from_eta(complex(0.5, t)) for t in thetas])
+    log_mods = np.log(mods)
+    assert np.corrcoef(log_mods, np.log(inv_zeta_x_sq))[0, 1] > 0.85
+    assert np.corrcoef(log_mods, -2.0 * np.log(np.abs(zeta)))[0, 1] > 0.78
