@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import cmath
+import contextlib
 import json
 import math
 import sys
@@ -34,6 +35,7 @@ from .transfer import ColeColeParams
 EXIT_OK = 0
 EXIT_VALIDATION = 2
 EXIT_NUMERICAL = 3
+_WRITE_BLOCK_ROWS = 1 << 16  # rows formatted and written at a time
 
 
 @dataclass(frozen=True)
@@ -63,41 +65,55 @@ def _json_cells(values: list) -> list[str]:
     return _JSON_CELLS.encode(values)[1:-1].split("\n") if values else []
 
 
-def _cells(column, n_rows: int, encode) -> list[str]:
+def _cells(column, start: int, stop: int, encode) -> list[str]:
+    """Rows start..stop-1 of one column, formatted."""
     if isinstance(column, np.ndarray):
-        return encode(column.tolist())
+        return encode(column[start:stop].tolist())
     if isinstance(column, (list, range)):
-        return encode(list(column))
-    return encode([column]) * n_rows
+        return encode(list(column[start:stop]))
+    return encode([column]) * (stop - start)
+
+
+def _row_blocks(columns: list, n_rows: int, encode):
+    """The rows of formatted cells, in blocks of at most _WRITE_BLOCK_ROWS."""
+    for start in range(0, n_rows, _WRITE_BLOCK_ROWS):
+        stop = min(start + _WRITE_BLOCK_ROWS, n_rows)
+        yield zip(*(_cells(col, start, stop, encode) for col in columns))
+
+
+def _chunks(out: OutputSpec, header: list[str], columns: list, n_rows: int, meta: dict):
+    """The output text, one block of rows at a time."""
+    if out.format == "json":
+        # json.dumps's indent=2 layout, with the closing "\n}" cut off for the rows
+        head = json.dumps({"meta": {**meta, "header": list(header)}}, indent=2)[:-2]
+        if not n_rows:
+            yield head + ',\n  "rows": []\n}\n'
+            return
+        yield head + ',\n  "rows": [\n    [\n      '
+        row_sep = "\n    ],\n    [\n      "
+        for k, rows in enumerate(_row_blocks(columns, n_rows, _json_cells)):
+            yield (row_sep if k else "") + row_sep.join(map(",\n      ".join, rows))
+        yield "\n    ]\n  ]\n}\n"
+        return
+    lines = []
+    for key, value in meta.items():
+        if key.endswith("_rad") and isinstance(value, float):
+            key, value = key[:-4] + "_deg", math.degrees(value)
+        lines.append(f"# {key}: {_fmt_meta(value)}")
+    lines.append(",".join(header))
+    yield "\n".join(lines) + "\n"
+    for rows in _row_blocks(columns, n_rows, _csv_cells):
+        yield "\n".join(map(",".join, rows)) + "\n"
 
 
 def write_output(
     out: OutputSpec, header: list[str], columns: list, n_rows: int, meta: dict
 ) -> None:
-    """Emit ``n_rows`` rows of ``columns`` (one per header name) as CSV or JSON."""
-    if out.format == "json":
-        cells = [_cells(col, n_rows, _json_cells) for col in columns]
-        # json.dumps's indent=2 layout, with the closing "\n}" cut off for the rows
-        text = json.dumps({"meta": {**meta, "header": list(header)}}, indent=2)[:-2]
-        if n_rows:
-            rows = "\n    ],\n    [\n      ".join(map(",\n      ".join, zip(*cells)))
-            text += f',\n  "rows": [\n    [\n      {rows}\n    ]\n  ]\n}}\n'
-        else:
-            text += ',\n  "rows": []\n}\n'
-    else:
-        lines = []
-        for key, value in meta.items():
-            if key.endswith("_rad") and isinstance(value, float):
-                key, value = key[:-4] + "_deg", math.degrees(value)
-            lines.append(f"# {key}: {_fmt_meta(value)}")
-        lines.append(",".join(header))
-        lines += map(",".join, zip(*(_cells(col, n_rows, _csv_cells) for col in columns)))
-        text = "\n".join(lines) + "\n"
-    if out.path:
-        with open(out.path, "w", newline="") as handle:
-            handle.write(text)
-    else:
-        sys.stdout.write(text)
+    """Emit ``n_rows`` rows of ``columns`` (one per header name) as CSV or
+    JSON, formatting and writing one block of rows at a time."""
+    with open(out.path, "w", newline="") if out.path else contextlib.nullcontext(sys.stdout) as handle:
+        for chunk in _chunks(out, header, columns, n_rows, meta):
+            handle.write(chunk)
 
 
 def _output_spec(args) -> OutputSpec:
@@ -105,7 +121,7 @@ def _output_spec(args) -> OutputSpec:
 
 
 def _echo_flags(args) -> dict:
-    skip = {"func"}
+    skip = {"func", "out"}  # the destination is not part of the output
     return {k: v for k, v in vars(args).items() if k not in skip}
 
 

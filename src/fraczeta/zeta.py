@@ -40,6 +40,7 @@ from .transfer import conjugate_exponent
 
 ZERO_BRACKET_WIDTH = 1e-8
 SINGULAR_FACTOR_FLOOR = 1e-8
+_SUM_BLOCK = 1 << 18  # n per block of the direct and Mobius sums
 
 
 @dataclass(frozen=True)
@@ -173,55 +174,87 @@ def zeta_from_eta(s: complex, cfg: ToleranceConfig | None = None) -> complex:
     return value
 
 
+def _require_terms(terms: int, name: str) -> None:
+    if terms < 1:
+        raise DomainError(f"{name} must be >= 1")
+    if terms > SIEVE_LIMIT_CAP:
+        raise LimitError(f"{name} {terms} exceeds {SIEVE_LIMIT_CAP}")
+
+
 def zeta_direct(s: complex, terms: int) -> complex:
     """Plain partial sum Sum_{n<=terms} n^(-s) for Re(s) > 1.
 
-    Verification oracle: no acceleration, fixed pairwise reduction order.
+    Verification oracle: no acceleration.  The terms are summed one block
+    of n at a time, each block by ``np.sum``'s pairwise reduction, and the
+    block sums are added in order, so memory stays O(block).
     """
     s = complex(s)
     if not s.real > 1:
         raise DomainError("zeta_direct requires Re(s) > 1")
-    if terms < 1:
-        raise DomainError("terms must be >= 1")
-    if terms > SIEVE_LIMIT_CAP:
-        raise LimitError(f"terms {terms} exceeds {SIEVE_LIMIT_CAP}")
-    n = np.arange(1, terms + 1, dtype=float)
-    return require_finite(complex(np.sum(np.exp(-s * np.log(n)))))
+    _require_terms(terms, "terms")
+    total = 0j
+    for lo in range(1, terms + 1, _SUM_BLOCK):
+        x = np.log(np.arange(lo, min(lo + _SUM_BLOCK, terms + 1), dtype=float)) * -s
+        total += complex(np.sum(np.exp(x, out=x)))
+    return require_finite(total)
+
+
+def _mobius_blocks(limit: int):
+    """Yield (first n, int8 block of mu(n)) for consecutive blocks covering 1..limit.
+
+    Per prime p <= sqrt(limit): flip the sign of every multiple of p, zero
+    every multiple of p^2, and multiply p into an int32 running product of
+    each n's prime factors up to sqrt(limit) (at most n, so no overflow).
+    A squarefree n whose product falls short of n has exactly one more
+    prime factor, above sqrt(limit), and one more flip.
+    """
+    base = sieve(math.isqrt(limit)).array.tolist()
+    for lo in range(1, limit + 1, _SUM_BLOCK):
+        hi = min(lo + _SUM_BLOCK, limit + 1)
+        mu = np.ones(hi - lo, dtype=np.int8)
+        product = np.ones(hi - lo, dtype=np.int32)
+        for p in base:
+            first = -lo % p  # offset of the block's first multiple of p
+            mu[first::p] *= -1
+            product[first::p] *= p
+            square = p * p
+            if square < hi:
+                mu[-lo % square :: square] = 0
+        mu[product < np.arange(lo, hi, dtype=np.int32)] *= -1
+        yield lo, mu
 
 
 def mobius_sieve(limit: int) -> np.ndarray:
     """mu(0..limit) as an int8 table (mu(0) stored as 0); limit is capped
     as the sieve's is."""
-    if limit < 1:
-        raise DomainError("limit must be >= 1")
-    if limit > SIEVE_LIMIT_CAP:
-        raise LimitError(f"mobius limit {limit} exceeds {SIEVE_LIMIT_CAP}")
-    mu = np.ones(limit + 1, dtype=np.int8)
-    mu[0] = 0
-    rem = np.arange(limit + 1)
-    for p in sieve(math.isqrt(limit)).array.tolist():
-        mu[p::p] *= -1
-        mu[p * p :: p * p] = 0
-        rem[p::p] //= p
-    # what is left of a squarefree n is 1 or its one prime factor > sqrt(limit)
-    mu[rem > 1] *= -1
-    return mu
+    _require_terms(limit, "limit")
+    table = np.empty(limit + 1, dtype=np.int8)
+    table[0] = 0
+    for lo, mu in _mobius_blocks(limit):
+        table[lo : lo + mu.size] = mu
+    return table
 
 
 def mobius_inverse_zeta(s: complex, terms: int) -> complex:
     """Partial sum of 1/zeta(s) = Sum mu(n) n^(-s), Re(s) > 1.
 
-    Uses a sieved mu table for the bulk sum; per-value trial division
-    would dominate the runtime.
+    Walks the sieved mu one block at a time and sums only the squarefree
+    n (per-value trial division would dominate the runtime); each block
+    is reduced by ``np.sum`` and the block sums are added in order, so
+    memory stays O(block).
     """
     s = complex(s)
     if not s.real > 1:
         raise DomainError("mobius_inverse_zeta requires Re(s) > 1")
-    if terms < 1:
-        raise DomainError("terms must be >= 1")
-    mu = mobius_sieve(terms)[1:].astype(float)
-    n = np.arange(1, terms + 1, dtype=float)
-    return require_finite(complex(np.sum(mu * np.exp(-s * np.log(n)))))
+    _require_terms(terms, "terms")
+    total = 0j
+    for lo, mu in _mobius_blocks(terms):
+        squarefree = np.flatnonzero(mu)
+        x = np.log((squarefree + lo).astype(float)) * -s
+        np.exp(x, out=x)
+        x *= mu[squarefree]
+        total += complex(np.sum(x))
+    return require_finite(total)
 
 
 def euler_product(s: complex, primes: PrimeSet) -> complex:

@@ -3,6 +3,8 @@ import io
 import json
 import math
 import sys
+import tracemalloc
+from unittest import mock
 
 import mpmath
 import numpy as np
@@ -10,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import fraczeta.cli
 import fraczeta.fracdiff
 import fraczeta.primes
 import fraczeta.zeta
@@ -424,14 +427,7 @@ def test_out_file_matches_stdout(tmp_path, capsys, argv, fmt):
     printed = capsys.readouterr().out
     path = tmp_path / f"out.{fmt}"
     assert main(argv + ["--out", str(path)]) == 0
-    written = path.read_bytes().decode()
-    # the meta block echoes the --out flag itself, and only there may they differ
-    if fmt == "csv":
-        echo = (f"# out: {path}", "# out: None")
-    else:
-        echo = (f'"out": {json.dumps(str(path))}', '"out": null')
-    assert written.count(echo[0]) == 1
-    assert written.replace(*echo) == printed
+    assert path.read_bytes() == printed.encode()
 
 
 @pytest.mark.parametrize(
@@ -503,12 +499,49 @@ def test_all_constant_columns_at_zero_rows_print_no_rows():
 
 
 @settings(max_examples=100, deadline=None)
-@given(table=_tables(), angle=_FLOATS, plain=_FLOATS)
-def test_columnar_writer_matches_row_reference(table, angle, plain):
+@given(table=_tables(), angle=_FLOATS, plain=_FLOATS,
+       block=st.one_of(st.just(fraczeta.cli._WRITE_BLOCK_ROWS), st.integers(1, 8)))
+def test_columnar_writer_matches_row_reference(table, angle, plain, block):
     header, columns, n_rows, rows = table
     meta = {"command": "t", "angle_rad": angle, "value": plain,
             "nested": [[1, 2.5], ["a,b", [True, None]]], "label": "x y"}
-    for fmt in ("csv", "json"):
-        out = OutputSpec(format=fmt)
-        assert (_printed(write_output, out, header, columns, n_rows, meta)
-                == _printed(_write_output_reference, out, header, rows, meta))
+    with mock.patch.object(fraczeta.cli, "_WRITE_BLOCK_ROWS", block):
+        for fmt in ("csv", "json"):
+            out = OutputSpec(format=fmt)
+            assert (_printed(write_output, out, header, columns, n_rows, meta)
+                    == _printed(_write_output_reference, out, header, rows, meta))
+
+
+@pytest.mark.parametrize("n_rows", [0, 1, 2, 3, 7])
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_constant_columns_across_row_blocks(fmt, n_rows):
+    header, columns, meta = ["a", "b", "c"], [1.5, "x", range(n_rows)], {"command": "t"}
+    rows = [[1.5, "x", k] for k in range(n_rows)]
+    want = _printed(_write_output_reference, OutputSpec(format=fmt), header, rows, meta)
+    with mock.patch.object(fraczeta.cli, "_WRITE_BLOCK_ROWS", 2):
+        assert _printed(write_output, OutputSpec(format=fmt), header, columns, n_rows, meta) == want
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_varpi_output_across_row_blocks(tmp_path, fmt):
+    argv = ["varpi", "--from", "0.1", "--to", "2", "--step", "0.01", "--primes", "500",
+            "--format", fmt]
+    assert main(argv + ["--out", str(tmp_path / "one")]) == 0
+    with mock.patch.object(fraczeta.cli, "_WRITE_BLOCK_ROWS", 7):
+        assert main(argv + ["--out", str(tmp_path / "blocked")]) == 0
+    assert (tmp_path / "blocked").read_bytes() == (tmp_path / "one").read_bytes()
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_writer_memory_is_bounded_by_the_row_block(tmp_path, fmt):
+    # one float column of 2e5 rows: about 20 (CSV) and 29 MiB (JSON) when the
+    # whole table was formatted at once, 8 and 10 MiB in row blocks
+    column = np.random.default_rng(4).standard_normal(200_000)
+    out = OutputSpec(format=fmt, path=str(tmp_path / f"table.{fmt}"))
+    tracemalloc.start()
+    try:
+        write_output(out, ["x"], [column], column.size, {"command": "t"})
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 16 * 2**20

@@ -1,6 +1,7 @@
 import cmath
 import dataclasses
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ import fraczeta.zeta
 from fraczeta.errors import DomainError, LimitError
 from fraczeta.primes import (
     _GRID_BLOCK_CELLS,
+    _SIEVE_BLOCK,
     GRID_POINT_CAP,
     PrimeSet,
     ThetaPrimeSolution,
@@ -126,6 +128,45 @@ def test_sieve_matches_reference_large_limit():
     got = sieve(limit)
     assert got.primes == _sieve_reference(limit)
     assert all(type(p) is int for p in got.primes)
+
+
+def _sieve_matches_reference(limit: int) -> bool:
+    want = np.array(_sieve_reference(limit), dtype=np.int64)
+    return sieve(limit).array.tobytes() == want.tobytes()
+
+
+# Table slot i holds the odd number 2i + 1, so the sieve's first block holds
+# the odd numbers below 2 * _SIEVE_BLOCK; the wheel repeats every 2 * 15015.
+_BLOCK_EDGE = 2 * _SIEVE_BLOCK
+_SIEVE_EDGES = sorted(
+    {_BLOCK_EDGE + d for d in (-2, -1, 0, 1, 2)}
+    | {2 * _BLOCK_EDGE + d for d in (-1, 1)}
+    | {30030 * k + d for k in (1, 2, 7) for d in (-1, 1)}
+    # squares of base primes: the first ones, and those on either side of the block edge
+    | {p * p + d for p in (17, 19, 23, 1447, 1451) for d in (-2, 0, 2)}
+)
+
+
+@pytest.mark.parametrize("limit", _SIEVE_EDGES)
+def test_sieve_matches_reference_at_block_and_wheel_edges(limit):
+    assert _sieve_matches_reference(limit)
+
+
+@settings(max_examples=60, deadline=None)
+@given(limit=st.integers(1, 100_000),
+       block=st.one_of(st.just(_SIEVE_BLOCK), st.integers(16, 5000)))
+@example(limit=30031, block=15015)
+@example(limit=289, block=144)
+def test_sieve_matches_reference_for_any_block_size(limit, block):
+    with mock.patch.object(fraczeta.primes, "_SIEVE_BLOCK", block):
+        assert _sieve_matches_reference(limit)
+
+
+def test_log_primes_equal_float_cast_then_log():
+    # np.log(array, dtype=float) casts inside the loop: bitwise the same values
+    prime_set = sieve(10**7)
+    want = np.log(prime_set.array.astype(float))
+    assert prime_set.log_primes.tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("bad", [2.5, 2.0, "3", True, None, 2**70])
